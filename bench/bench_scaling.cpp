@@ -69,8 +69,7 @@ int main(int argc, char** argv) {
     Table t(std::string("YCSB scaling for ") + gc_name(gc) + " (" +
             std::to_string(ops) + " ops, " + std::to_string(conns) +
             " connections)");
-    t.header({"loops/shards", "reuseport", "ops/s", "p99(ms)", "avg(ms)",
-              "shed"});
+    t.header({"loops/shards", "ops/s", "p99(ms)", "avg(ms)", "shed"});
     std::vector<ScalePoint> points;
 
     for (int loops : kLoopPoints) {
@@ -135,9 +134,8 @@ int main(int argc, char** argv) {
       pt.p99_ms = p99;
       points.push_back(pt);
       ++points_run;
-      t.row({std::to_string(loops), netsrv.using_reuseport() ? "yes" : "no",
-             Table::num(pt.ops_s, 0), Table::num(p99, 3), Table::num(avg, 3),
-             std::to_string(shed)});
+      t.row({std::to_string(loops), Table::num(pt.ops_s, 0),
+             Table::num(p99, 3), Table::num(avg, 3), std::to_string(shed)});
 
       // Raw numbers are context, not guarded bounds (ops/s is
       // higher-is-better; wall-clock latency is machine noise at --quick).

@@ -62,9 +62,9 @@ inline CassandraRun run_cassandra_ycsb(GcKind gc, bool stress,
   kv::StoreConfig scfg = stress
                              ? kv::StoreConfig::stress_config(cfg.heap_bytes)
                              : kv::StoreConfig::default_config(cfg.heap_bytes);
-  kv::Store store(vm, scfg);
+  kv::ShardedStore store(vm, scfg, /*shards=*/1);
   const int workers = std::min(env::threads(), 8);
-  kv::Server server(vm, store, workers);
+  kv::Server server(vm, store, {.workers_per_shard = workers});
 
   ycsb::WorkloadSpec spec;
   spec.record_count = records;

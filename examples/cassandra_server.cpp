@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
   kv::StoreConfig scfg = stress
                              ? kv::StoreConfig::stress_config(cfg.heap_bytes)
                              : kv::StoreConfig::default_config(cfg.heap_bytes);
-  kv::Store store(vm, scfg);
-  kv::Server server(vm, store, /*workers=*/4);
+  kv::ShardedStore store(vm, scfg, /*shards=*/1);
+  kv::Server server(vm, store, {.workers_per_shard = 4});
 
   std::unique_ptr<net::NetServer> net_server;
   ycsb::WorkloadSpec spec = ycsb::WorkloadSpec::paper_custom(records, ops, 4);

@@ -32,8 +32,9 @@ int main(int argc, char** argv) {
   cfg.young_bytes = 6 * MiB;
   cfg.gc_threads = 2;
   Vm vm(cfg);
-  kv::Store store(vm, kv::StoreConfig::default_config(cfg.heap_bytes));
-  kv::Server server(vm, store, /*workers=*/2);
+  kv::ShardedStore store(vm, kv::StoreConfig::default_config(cfg.heap_bytes),
+                        /*shards=*/1);
+  kv::Server server(vm, store, {.workers_per_shard = 2});
   net::NetServer netfe(server);
 
   // Low-probability but persistent faults: enough that a few-hundred-op

@@ -8,21 +8,8 @@
 
 namespace mgc::kv {
 
-Server::Server(Vm& vm, Store& store, int workers, std::size_t queue_capacity)
-    : vm_(vm) {
-  MGC_CHECK(workers >= 1);
-  cfg_.workers_per_shard = workers;
-  cfg_.queue_capacity = queue_capacity;
-  cfg_.pin_workers = false;
-  auto s = std::make_unique<Shard>();
-  s->index = 0;
-  s->store = &store;
-  shards_.push_back(std::move(s));
-  start_shard_workers(*shards_[0], workers);
-}
-
 Server::Server(Vm& vm, ShardedStore& store, ServerConfig cfg)
-    : vm_(vm), sharded_(&store), cfg_(cfg) {
+    : vm_(vm), store_(store), cfg_(cfg) {
   MGC_CHECK(cfg.workers_per_shard >= 1);
   const std::size_t n = store.shard_count();
   shards_.reserve(n);
@@ -32,17 +19,15 @@ Server::Server(Vm& vm, ShardedStore& store, ServerConfig cfg)
     s->store = &store.shard(i);
     shards_.push_back(std::move(s));
   }
-  for (auto& s : shards_) start_shard_workers(*s, cfg.workers_per_shard);
+  for (auto& s : shards_) {
+    Shard& sh = *s;
+    for (int i = 0; i < cfg.workers_per_shard; ++i) {
+      sh.workers.emplace_back([this, &sh, i] { worker_main(sh, i); });
+    }
+  }
 }
 
 Server::~Server() { shutdown(); }
-
-void Server::start_shard_workers(Shard& s, int workers) {
-  s.workers.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    s.workers.emplace_back([this, &s, i] { worker_main(s, i); });
-  }
-}
 
 void Server::shutdown() {
   MutexLock outer(shutdown_mu_);
@@ -78,8 +63,7 @@ bool Server::under_gc_pressure() const {
 }
 
 std::size_t Server::shard_of_key(std::uint64_t key) const {
-  if (sharded_ == nullptr) return 0;
-  return sharded_->shard_of(key);
+  return store_.shard_of(key);
 }
 
 std::uint64_t Server::shed_count(std::size_t shard) const {
@@ -96,8 +80,7 @@ Response Server::execute(const Request& req) {
   // collection spiral. Reject immediately with a typed status instead. The
   // decision is per shard: a hot shard sheds while its siblings keep
   // serving.
-  if (fault::should_fire(fault::Site::kKvQueueFull) ||
-      fault::should_fire(fault::Site::kKvShardQueueFull, s.index) ||
+  if (fault::should_fire(fault::Site::kKvQueueFull, s.index) ||
       (s.queue.size() >= cfg_.queue_capacity && under_gc_pressure())) {
     s.shed.fetch_add(1, std::memory_order_acq_rel);
     Response r;
@@ -129,8 +112,7 @@ SubmitResult Server::try_submit(const Request& req, CompletionFn done) {
       delete p;
       return SubmitResult::kShutdown;
     }
-    if (fault::should_fire(fault::Site::kKvQueueFull) ||
-        fault::should_fire(fault::Site::kKvShardQueueFull, s.index) ||
+    if (fault::should_fire(fault::Site::kKvQueueFull, s.index) ||
         (s.queue.size() >= cfg_.queue_capacity && under_gc_pressure())) {
       s.shed.fetch_add(1, std::memory_order_acq_rel);
       delete p;

@@ -9,9 +9,9 @@
 // the key (ShardedStore::shard_of). Each shard is shared-nothing — its
 // queue, its condition variables, its workers, and its store (memtable +
 // commit log + sstables) are touched by no other shard — so the request
-// path scales with cores instead of serializing on one queue mutex. The
-// single-store constructor is the degenerate one-shard case and behaves
-// exactly like the pre-sharding server.
+// path scales with cores instead of serializing on one queue mutex. A
+// one-shard ShardedStore is the degenerate case: one queue, one worker
+// group, one store.
 //
 // Two submission paths share each shard's queue and workers:
 //   * execute()    — synchronous in-process call; blocks while the shard's
@@ -109,7 +109,6 @@ class RequestSink {
   virtual SubmitResult try_submit(const Request& req, CompletionFn done) = 0;
 };
 
-// Sharded-mode tuning. The single-store constructor ignores it.
 struct ServerConfig {
   int workers_per_shard = 1;
   std::size_t queue_capacity = 256;  // per shard
@@ -121,10 +120,6 @@ struct ServerConfig {
 class Server : public RequestSink {
  public:
   using CompletionFn = RequestSink::CompletionFn;
-
-  // Single-shard server over an externally owned store (the pre-sharding
-  // shape; every original call site still works).
-  Server(Vm& vm, Store& store, int workers, std::size_t queue_capacity = 256);
 
   // Shard-per-core server: one worker group and one bounded queue per
   // shard of `store`. The ShardedStore must outlive the server.
@@ -192,14 +187,13 @@ class Server : public RequestSink {
     std::vector<std::thread> workers;
   };
 
-  void start_shard_workers(Shard& s, int workers);
   void worker_main(Shard& s, int widx);
   // True when the heap is close enough to capacity that queueing more work
   // would only deepen the collection spiral (shed instead).
   bool under_gc_pressure() const;
 
   Vm& vm_;
-  ShardedStore* sharded_ = nullptr;  // null => single external store
+  ShardedStore& store_;
   ServerConfig cfg_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> completed_{0};

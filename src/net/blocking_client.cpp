@@ -20,9 +20,6 @@ BlockingClient::BlockingClient(const std::string& host, std::uint16_t port,
 
 int BlockingClient::next_backoff_ms(int prev_ms) {
   if (prev_ms < 0) prev_ms = 0;
-  if (!policy_.decorrelated_jitter) {
-    return std::min(prev_ms * 2, policy_.backoff_cap_ms);
-  }
   const auto lo = static_cast<std::uint64_t>(
       policy_.backoff_initial_ms > 0 ? policy_.backoff_initial_ms : 0);
   const std::uint64_t hi =
@@ -62,35 +59,37 @@ bool BlockingClient::call(const kv::Request& req, ResponseFrame* out) {
     return false;
   }
 
+  DecodedFrame df;
+  if (read_frame(&df) != DecodeResult::kResponse) {
+    fd_.reset();
+    return false;
+  }
+  *out = df.resp;
+  // With one request in flight the tag must match; a mismatch means the
+  // server cross-wired responses, which callers treat as a transport
+  // failure (and tests assert on directly).
+  return out->tag == rf.tag;
+}
+
+DecodeResult BlockingClient::read_frame(DecodedFrame* df) {
   for (;;) {
-    RequestFrame ignored;
     std::size_t consumed = 0;
-    const DecodeResult r = decode_frame(rbuf_.data() + roff_,
-                                        rbuf_.size() - roff_, &consumed,
-                                        &ignored, out);
-    if (r == DecodeResult::kResponse) {
+    const DecodeResult r = decode_any(rbuf_.data() + roff_,
+                                      rbuf_.size() - roff_, &consumed, df);
+    if (r == DecodeResult::kError) return r;
+    if (r != DecodeResult::kNeedMore) {
       roff_ += consumed;
       if (roff_ >= rbuf_.size()) {
         rbuf_.clear();
         roff_ = 0;
       }
-      // With one request in flight the tag must match; a mismatch means the
-      // server cross-wired responses, which callers treat as a transport
-      // failure (and tests assert on directly).
-      return out->tag == rf.tag;
+      return r;
     }
-    if (r == DecodeResult::kError || r == DecodeResult::kRequest) {
-      fd_.reset();
-      return false;
-    }
-    // kNeedMore: pull more bytes off the socket (blocking, bounded by the
-    // socket timeout — a wedged server surfaces as a failed call here).
+    // Pull more bytes off the socket (blocking, bounded by the socket
+    // timeout — a wedged server surfaces as a failed call here).
     std::uint8_t chunk[4096];
     const ssize_t n = recv_some(fd_.get(), chunk, sizeof(chunk));
-    if (n <= 0) {
-      fd_.reset();
-      return false;
-    }
+    if (n <= 0) return DecodeResult::kError;
     rbuf_.insert(rbuf_.end(), chunk, chunk + n);
   }
 }
@@ -137,19 +136,14 @@ bool BlockingClient::submit_batch(const std::vector<kv::Request>& reqs,
     pending.erase(it);
     return true;
   };
+  DecodedFrame df;
   while (!pending.empty()) {
-    DecodedFrame df;
-    std::size_t consumed = 0;
-    const DecodeResult r = decode_any(rbuf_.data() + roff_,
-                                      rbuf_.size() - roff_, &consumed, &df);
     bool ok = true;
-    switch (r) {
+    switch (read_frame(&df)) {
       case DecodeResult::kResponse:
-        roff_ += consumed;
         ok = deliver(df.resp);
         break;
       case DecodeResult::kBatchResponse:
-        roff_ += consumed;
         for (const ResponseFrame& f : df.batch_resp) {
           if (!deliver(f)) {
             ok = false;
@@ -157,27 +151,13 @@ bool BlockingClient::submit_batch(const std::vector<kv::Request>& reqs,
           }
         }
         break;
-      case DecodeResult::kNeedMore: {
-        std::uint8_t chunk[4096];
-        const ssize_t n = recv_some(fd_.get(), chunk, sizeof(chunk));
-        if (n <= 0) {
-          fd_.reset();
-          return false;
-        }
-        rbuf_.insert(rbuf_.end(), chunk, chunk + n);
-        break;
-      }
-      default:  // kError, or the server sending request frames
+      default:  // transport failure, kError, or the server sending requests
         ok = false;
         break;
     }
     if (!ok) {
       fd_.reset();
       return false;
-    }
-    if (roff_ >= rbuf_.size()) {
-      rbuf_.clear();
-      roff_ = 0;
     }
   }
   return true;

@@ -42,7 +42,6 @@ struct RetryPolicy {
   // moment; jitter spreads them out. The draw comes from a client-local
   // RNG seeded with jitter_seed, so fault-replay runs that fix the seed
   // reproduce the exact same retry schedule.
-  bool decorrelated_jitter = true;
   std::uint64_t jitter_seed = 0x6d67632d6a697401ULL;
 };
 
@@ -108,6 +107,10 @@ class BlockingClient {
   // Drops the current connection (and any half-read response bytes) and
   // dials a new one. False if the server is unreachable.
   bool reconnect();
+  // Blocks until one whole frame is buffered, then decodes and consumes
+  // it. kError covers a malformed frame and a dead or timed-out socket;
+  // the caller tears the connection down.
+  DecodeResult read_frame(DecodedFrame* df);
 
   std::string host_;
   std::uint16_t port_;

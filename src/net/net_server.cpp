@@ -82,40 +82,15 @@ NetServer::NetServer(kv::RequestSink& backend, NetServerConfig cfg)
     loops_.push_back(std::move(lp));
   }
 
-  // Preferred front-end: every loop binds its own SO_REUSEPORT listener on
-  // the same port. All-or-nothing — if any bind fails we fall back rather
-  // than run a lopsided mix.
-  if (nloops > 1 && cfg_.allow_reuseport && reuseport_supported()) {
-    std::vector<UniqueFd> fds;
-    std::uint16_t port = cfg_.port;
-    UniqueFd first = listen_loopback(port, cfg_.backlog, &port, true);
-    bool ok = first.valid();
-    if (ok) {
-      fds.push_back(std::move(first));
-      for (int i = 1; i < nloops && ok; ++i) {
-        UniqueFd f = listen_loopback(port, cfg_.backlog, nullptr, true);
-        if (f.valid()) {
-          fds.push_back(std::move(f));
-        } else {
-          ok = false;
-        }
-      }
-    }
-    if (ok) {
-      reuseport_ = true;
-      port_ = port;
-      for (int i = 0; i < nloops; ++i) {
-        loops_[static_cast<std::size_t>(i)]->listen_fd = std::move(
-            fds[static_cast<std::size_t>(i)]);
-      }
-    }
-  }
-  if (!reuseport_) {
-    // Fallback: loop 0 owns the only listener and hands accepted fds to
-    // its siblings round-robin.
-    loops_[0]->listen_fd = listen_loopback(cfg_.port, cfg_.backlog, &port_);
-    MGC_CHECK_MSG(loops_[0]->listen_fd.valid(),
-                  "net: cannot listen on loopback");
+  // Every loop owns a listener on the same port; with more than one loop
+  // they are SO_REUSEPORT listeners and the kernel spreads connections
+  // across them. Loop 0 binds first and learns the port.
+  port_ = cfg_.port;
+  for (auto& lp : loops_) {
+    lp->listen_fd = listen_loopback(port_, cfg_.backlog,
+                                    lp->index == 0 ? &port_ : nullptr,
+                                    /*reuse_port=*/nloops > 1);
+    MGC_CHECK_MSG(lp->listen_fd.valid(), "net: cannot listen on loopback");
   }
 
   for (auto& lpp : loops_) {
@@ -129,19 +104,15 @@ NetServer::NetServer(kv::RequestSink& backend, NetServerConfig cfg)
     lp.sink->wake_fd = lp.wake_fd.get();
 
     epoll_event ev{};
-    if (lp.listen_fd.valid()) {
-      ev.events = EPOLLIN;
-      ev.data.u64 = kListenKey;
-      MGC_CHECK(::epoll_ctl(lp.epoll_fd.get(), EPOLL_CTL_ADD,
-                            lp.listen_fd.get(), &ev) == 0);
-    }
+    ev.events = EPOLLIN;
+    ev.data.u64 = kListenKey;
+    MGC_CHECK(::epoll_ctl(lp.epoll_fd.get(), EPOLL_CTL_ADD, lp.listen_fd.get(),
+                          &ev) == 0);
     ev.events = EPOLLIN;
     ev.data.u64 = kWakeKey;
     MGC_CHECK(::epoll_ctl(lp.epoll_fd.get(), EPOLL_CTL_ADD, lp.wake_fd.get(),
                           &ev) == 0);
   }
-  // Spawn only after every loop is fully wired: loop 0 may hand an fd to a
-  // sibling the moment it starts accepting.
   for (auto& lpp : loops_) {
     Loop& lp = *lpp;
     lp.thread = std::thread([this, &lp] { loop_main(lp); });
@@ -168,13 +139,6 @@ void NetServer::shutdown() {
     {
       MutexLock sg(lp->sink->mu);
       lp->sink->wake_fd = -1;
-    }
-    // Handoff fds pushed after the receiving loop exited: close them here
-    // (nothing was ever registered for them).
-    {
-      MutexLock hg(lp->handoff_mu);
-      for (int fd : lp->handoff) ::close(fd);
-      lp->handoff.clear();
     }
     lp->wake_fd.reset();
     lp->epoll_fd.reset();
@@ -239,7 +203,7 @@ void NetServer::loop_main(Loop& lp) {
         [[maybe_unused]] ssize_t rc =
             // gclint: suppress(loop-purity) eventfd is EFD_NONBLOCK; drain never stalls
             ::read(lp.wake_fd.get(), &drain, sizeof(drain));
-        continue;  // handoffs, completions and stop flag handled below
+        continue;  // completions and stop flag handled below
       }
       auto it = lp.conns.find(key);
       if (it == lp.conns.end()) continue;  // closed earlier this iteration
@@ -258,7 +222,6 @@ void NetServer::loop_main(Loop& lp) {
       update_interest(lp, c);
     }
 
-    drain_handoff(lp);
     process_completions(lp);
 
     if (stop_requested_.load(std::memory_order_acquire) && !lp.draining) {
@@ -300,27 +263,7 @@ void NetServer::accept_ready(Loop& lp) {
       ::close(fd);
       continue;
     }
-    if (reuseport_ || loops_.size() == 1) {
-      adopt_fd(lp, fd);
-      continue;
-    }
-    // Fallback: only loop 0 accepts; spread connections round-robin. Local
-    // target adopts directly, siblings get the fd through their handoff
-    // queue + wakeup.
-    const std::size_t target = rr_next_++ % loops_.size();
-    if (target == lp.index) {
-      adopt_fd(lp, fd);
-      continue;
-    }
-    Loop& peer = *loops_[target];
-    {
-      MutexLock g(peer.handoff_mu);
-      peer.handoff.push_back(fd);
-    }
-    const std::uint64_t one = 1;
-    [[maybe_unused]] ssize_t rc =
-        // gclint: suppress(loop-purity) eventfd is EFD_NONBLOCK; write never stalls
-        ::write(peer.wake_fd.get(), &one, sizeof(one));
+    adopt_fd(lp, fd);
   }
 }
 
@@ -339,21 +282,6 @@ void NetServer::adopt_fd(Loop& lp, int fd) {
   c->interest = EPOLLIN;
   if (::epoll_ctl(lp.epoll_fd.get(), EPOLL_CTL_ADD, fd, &ev) != 0) {
     destroy(lp, c);
-  }
-}
-
-void NetServer::drain_handoff(Loop& lp) {
-  std::vector<int> fds;
-  {
-    MutexLock g(lp.handoff_mu);
-    fds.swap(lp.handoff);
-  }
-  for (int fd : fds) {
-    if (lp.draining) {
-      ::close(fd);  // arrived after this loop stopped taking connections
-      continue;
-    }
-    adopt_fd(lp, fd);
   }
 }
 
@@ -569,12 +497,7 @@ void NetServer::begin_drain(Loop& lp) {
   lp.drain_deadline_ns =
       now_ns() + static_cast<std::int64_t>(cfg_.drain_timeout_ms) * 1000000;
   // Stop accepting new connections.
-  if (lp.listen_fd.valid()) {
-    ::epoll_ctl(lp.epoll_fd.get(), EPOLL_CTL_DEL, lp.listen_fd.get(),
-                nullptr);
-  }
-  // Handed-off fds not yet adopted never got a connection: close unserved.
-  drain_handoff(lp);
+  ::epoll_ctl(lp.epoll_fd.get(), EPOLL_CTL_DEL, lp.listen_fd.get(), nullptr);
   // Stop reading new requests; in-flight ones finish and get flushed. A
   // half-received request frame is simply discarded with the connection.
   for (auto& [id, conn] : lp.conns) {

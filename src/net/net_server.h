@@ -8,13 +8,10 @@
 // never block a safepoint — they play the role of the paper's network
 // stack, not of application threads.
 //
-// Multi-loop front-end (cfg.loops > 1): preferred shape is one
-// SO_REUSEPORT listener per loop on the same port — the kernel spreads
-// incoming connections across loops with no shared accept lock. When
-// SO_REUSEPORT is unavailable (or disabled via cfg.allow_reuseport), the
-// server falls back to a single accept loop that hands accepted fds to the
-// other loops round-robin through per-loop handoff queues. Either way a
-// connection lives and dies on exactly one loop: its buffers, its epoll
+// Multi-loop front-end (cfg.loops > 1): every loop binds its own
+// SO_REUSEPORT listener on the same port, and the kernel spreads incoming
+// connections across loops with no shared accept lock. A connection lives
+// and dies on the loop that accepted it: its buffers, its epoll
 // registration, and its completion sink are single-threaded state.
 //
 // Both protocol versions are served: single-op frames and version-2 batch
@@ -33,9 +30,8 @@
 // loop, which is what keeps the shard queues finite without ever blocking
 // an event loop.
 //
-// Shutdown is graceful: stop accepting, stop reading new requests, close
-// un-adopted handoff fds, let in-flight requests finish, flush every
-// response, then close. A drain deadline force-closes stragglers so
+// Shutdown is graceful: stop accepting, stop reading new requests, let
+// in-flight requests finish, flush every response, then close. A drain deadline force-closes stragglers so
 // shutdown() always returns.
 #pragma once
 
@@ -62,10 +58,6 @@ struct NetServerConfig {
   // Pin loop i to core i (mod allowed cores; support/affinity). Best
   // effort.
   bool pin_loops = false;
-  // When false, never bind SO_REUSEPORT listeners — exercise the
-  // single-accept-loop + round-robin handoff fallback even on kernels
-  // that support SO_REUSEPORT (tests rely on this switch).
-  bool allow_reuseport = true;
 };
 
 struct NetServerStats {
@@ -80,8 +72,9 @@ struct NetServerStats {
 
 class NetServer {
  public:
-  // Binds and starts the event loops; aborts (MGC_CHECK) if no loopback
-  // listen socket can be created — tests and benches cannot proceed. The
+  // Binds and starts the event loops; aborts (MGC_CHECK) if any loop's
+  // loopback listen socket cannot be created — tests and benches cannot
+  // proceed. The
   // backend is any RequestSink: a kv::Server directly, or a repl::Node
   // interposing replication in front of one.
   explicit NetServer(kv::RequestSink& backend, NetServerConfig cfg = {});
@@ -92,9 +85,6 @@ class NetServer {
 
   std::uint16_t port() const { return port_; }
   std::size_t loop_count() const { return loops_.size(); }
-  // True when every loop owns its own SO_REUSEPORT listener; false in the
-  // single-accept-loop fallback.
-  bool using_reuseport() const { return reuseport_; }
 
   // Graceful shutdown (idempotent): drains in-flight requests, flushes
   // responses, closes connections, joins every loop thread.
@@ -111,10 +101,9 @@ class NetServer {
   struct Completion;
   struct CompletionSink;
 
-  // One event loop: its own epoll, wakeup eventfd, listener (absent on
-  // loops > 0 in fallback mode), connection table, completion sink, and
-  // stats. Only its own thread touches any of it — except the handoff
-  // queue, which the accepting loop feeds under handoff_mu.
+  // One event loop: its own epoll, wakeup eventfd, listener, connection
+  // table, completion sink, and stats. Only its own thread touches any of
+  // it.
   struct Loop {
     std::uint32_t index = 0;
     UniqueFd listen_fd;
@@ -125,10 +114,6 @@ class NetServer {
     std::uint64_t next_conn_id = 0;
     bool draining = false;
     std::int64_t drain_deadline_ns = 0;
-
-    // Fallback-mode fd handoff (accepting loop -> this loop).
-    Mutex handoff_mu{LockRank::kNetHandoff, "net-handoff"};
-    std::vector<int> handoff MGC_GUARDED_BY(handoff_mu);
 
     std::atomic<std::uint64_t> accepted{0};
     std::atomic<std::uint64_t> closed{0};
@@ -144,9 +129,6 @@ class NetServer {
   void accept_ready(Loop& lp);
   // Registers an accepted fd with `lp` (it becomes a Conn on lp's epoll).
   void adopt_fd(Loop& lp, int fd);
-  // Moves pending handoff fds into the loop — adopted normally, or closed
-  // unserved when the loop is already draining.
-  void drain_handoff(Loop& lp);
   void on_readable(Loop& lp, Conn* c);
   void process_input(Loop& lp, Conn* c);
   void submit_one(Loop& lp, Conn* c, std::uint64_t tag,
@@ -163,9 +145,7 @@ class NetServer {
   kv::RequestSink& backend_;
   NetServerConfig cfg_;
   std::uint16_t port_ = 0;
-  bool reuseport_ = false;
   std::vector<std::unique_ptr<Loop>> loops_;
-  std::size_t rr_next_ = 0;  // fallback round-robin; accepting thread only
 
   std::atomic<bool> stop_requested_{false};
   Mutex shutdown_mu_{LockRank::kNetShutdown, "net-shutdown"};

@@ -42,36 +42,15 @@ bool set_timeouts(int fd, int timeout_ms) {
   return rcv && snd;
 }
 
-bool reuseport_supported() {
-#ifdef SO_REUSEPORT
-  static const bool supported = [] {
-    UniqueFd probe(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-    if (!probe.valid()) return false;
-    const int one = 1;
-    return ::setsockopt(probe.get(), SOL_SOCKET, SO_REUSEPORT, &one,
-                        sizeof(one)) == 0;
-  }();
-  return supported;
-#else
-  return false;
-#endif
-}
-
 UniqueFd listen_loopback(std::uint16_t port, int backlog,
                          std::uint16_t* bound_port, bool reuse_port) {
   UniqueFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (!fd.valid()) return {};
   const int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuse_port) {
-#ifdef SO_REUSEPORT
-    if (::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) !=
-        0) {
-      return {};
-    }
-#else
+  if (reuse_port && ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one,
+                                 sizeof(one)) != 0) {
     return {};
-#endif
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;

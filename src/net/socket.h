@@ -47,15 +47,11 @@ class UniqueFd {
 // (port 0 = kernel-assigned). On success *bound_port holds the actual
 // port. With reuse_port the socket is bound with SO_REUSEPORT so several
 // event loops can each own a listener on the same port and let the kernel
-// spread incoming connections across them (the multi-loop front-end).
-// Returns an invalid fd on failure.
+// spread incoming connections across them (the multi-loop front-end; the
+// target is Linux, where SO_REUSEPORT is always available). Returns an
+// invalid fd on failure.
 UniqueFd listen_loopback(std::uint16_t port, int backlog,
                          std::uint16_t* bound_port, bool reuse_port = false);
-
-// Feature probe: true when SO_REUSEPORT can actually be set on a TCP
-// socket on this kernel. The multi-loop server falls back to a single
-// accept loop with round-robin fd handoff when this is false.
-bool reuseport_supported();
 
 // Blocking connect to host:port with TCP_NODELAY. Invalid fd on failure.
 UniqueFd connect_tcp(const std::string& host, std::uint16_t port);

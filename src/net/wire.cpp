@@ -2,57 +2,33 @@
 
 #include <cstring>
 
+#include "net/byte_codec.h"
 #include "support/check.h"
 
 namespace mgc::net {
-namespace {
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-}  // namespace
 
 void encode_request(const RequestFrame& f, std::vector<std::uint8_t>& out) {
   MGC_CHECK(f.req.value_len <= kMaxValueLen);
-  put_u32(out, kRequestPayloadSize);
-  put_u8(out, kMagic);
-  put_u8(out, kVersion);
-  put_u8(out, static_cast<std::uint8_t>(MsgKind::kRequest));
-  put_u8(out, static_cast<std::uint8_t>(f.req.op));
-  put_u64(out, f.tag);
-  put_u64(out, f.req.key);
-  put_u32(out, static_cast<std::uint32_t>(f.req.value_len));
+  Writer w(out);
+  w.u32(kRequestPayloadSize);
+  w.u8(kMagic);
+  w.u8(kVersion);
+  w.u8(static_cast<std::uint8_t>(MsgKind::kRequest));
+  w.u8(static_cast<std::uint8_t>(f.req.op));
+  w.u64(f.tag);
+  w.u64(f.req.key);
+  w.u32(static_cast<std::uint32_t>(f.req.value_len));
 }
 
 void encode_response(const ResponseFrame& f, std::vector<std::uint8_t>& out) {
-  put_u32(out, kResponsePayloadSize);
-  put_u8(out, kMagic);
-  put_u8(out, kVersion);
-  put_u8(out, static_cast<std::uint8_t>(MsgKind::kResponse));
-  put_u8(out, static_cast<std::uint8_t>(f.status));
-  put_u64(out, f.tag);
-  put_u8(out, f.found ? 1 : 0);
+  Writer w(out);
+  w.u32(kResponsePayloadSize);
+  w.u8(kMagic);
+  w.u8(kVersion);
+  w.u8(static_cast<std::uint8_t>(MsgKind::kResponse));
+  w.u8(static_cast<std::uint8_t>(f.status));
+  w.u64(f.tag);
+  w.u8(f.found ? 1 : 0);
 }
 
 void encode_request_batch(const std::vector<RequestFrame>& items,
@@ -61,18 +37,19 @@ void encode_request_batch(const std::vector<RequestFrame>& items,
   const std::size_t payload =
       kBatchHeaderSize + items.size() * kBatchRequestEntrySize;
   out.reserve(out.size() + kLenPrefixSize + payload);
-  put_u32(out, static_cast<std::uint32_t>(payload));
-  put_u8(out, kMagic);
-  put_u8(out, kBatchVersion);
-  put_u8(out, static_cast<std::uint8_t>(MsgKind::kBatchRequest));
-  put_u8(out, 0);  // reserved
-  put_u32(out, static_cast<std::uint32_t>(items.size()));
+  Writer w(out);
+  w.u32(static_cast<std::uint32_t>(payload));
+  w.u8(kMagic);
+  w.u8(kBatchVersion);
+  w.u8(static_cast<std::uint8_t>(MsgKind::kBatchRequest));
+  w.u8(0);  // reserved
+  w.u32(static_cast<std::uint32_t>(items.size()));
   for (const RequestFrame& f : items) {
     MGC_CHECK(f.req.value_len <= kMaxValueLen);
-    put_u8(out, static_cast<std::uint8_t>(f.req.op));
-    put_u64(out, f.tag);
-    put_u64(out, f.req.key);
-    put_u32(out, static_cast<std::uint32_t>(f.req.value_len));
+    w.u8(static_cast<std::uint8_t>(f.req.op));
+    w.u64(f.tag);
+    w.u64(f.req.key);
+    w.u32(static_cast<std::uint32_t>(f.req.value_len));
   }
 }
 
@@ -82,16 +59,17 @@ void encode_response_batch(const std::vector<ResponseFrame>& items,
   const std::size_t payload =
       kBatchHeaderSize + items.size() * kBatchResponseEntrySize;
   out.reserve(out.size() + kLenPrefixSize + payload);
-  put_u32(out, static_cast<std::uint32_t>(payload));
-  put_u8(out, kMagic);
-  put_u8(out, kBatchVersion);
-  put_u8(out, static_cast<std::uint8_t>(MsgKind::kBatchResponse));
-  put_u8(out, 0);  // reserved
-  put_u32(out, static_cast<std::uint32_t>(items.size()));
+  Writer w(out);
+  w.u32(static_cast<std::uint32_t>(payload));
+  w.u8(kMagic);
+  w.u8(kBatchVersion);
+  w.u8(static_cast<std::uint8_t>(MsgKind::kBatchResponse));
+  w.u8(0);  // reserved
+  w.u32(static_cast<std::uint32_t>(items.size()));
   for (const ResponseFrame& f : items) {
-    put_u8(out, static_cast<std::uint8_t>(f.status));
-    put_u64(out, f.tag);
-    put_u8(out, f.found ? 1 : 0);
+    w.u8(static_cast<std::uint8_t>(f.status));
+    w.u64(f.tag);
+    w.u8(f.found ? 1 : 0);
   }
 }
 
@@ -134,33 +112,47 @@ DecodeResult check_header(const std::uint8_t* p, std::uint32_t payload_len) {
   }
 }
 
-bool decode_request_body(const std::uint8_t* p, RequestFrame* out) {
-  // p points at { op, tag, key, value_len } (21 bytes).
-  const std::uint8_t op = p[0];
-  if (op > static_cast<std::uint8_t>(kv::OpType::kInsert)) return false;
-  const std::uint32_t value_len = get_u32(p + 17);
-  if (value_len > kMaxValueLen) return false;
+// Reads one { op, tag, key, value_len } request body.
+bool read_request(Reader& r, RequestFrame* out) {
+  const std::uint8_t op = r.u8();
+  out->tag = r.u64();
+  out->req.key = r.u64();
+  const std::uint32_t value_len = r.u32();
+  if (!r.ok() || op > static_cast<std::uint8_t>(kv::OpType::kInsert) ||
+      value_len > kMaxValueLen) {
+    return false;
+  }
   out->req.op = static_cast<kv::OpType>(op);
-  out->tag = get_u64(p + 1);
-  out->req.key = get_u64(p + 9);
   out->req.value_len = value_len;
   return true;
 }
 
-bool decode_response_body(const std::uint8_t* p, std::size_t found_off,
-                          ResponseFrame* out) {
-  // p points at { status, tag, ... found at found_off } — the single frame
-  // carries found at offset 9, the batch entry packs it at offset 9 too;
-  // the offset parameter keeps the two layouts honest if they diverge.
-  const std::uint8_t status = p[0];
-  if (status > static_cast<std::uint8_t>(kv::ExecStatus::kNotLeader))
+// Reads one { status, tag, found } response body.
+bool read_response(Reader& r, ResponseFrame* out) {
+  const std::uint8_t status = r.u8();
+  out->tag = r.u64();
+  const std::uint8_t found = r.u8();
+  if (!r.ok() ||
+      status > static_cast<std::uint8_t>(kv::ExecStatus::kNotLeader) ||
+      found > 1) {
     return false;
-  const std::uint8_t found = p[found_off];
-  if (found > 1) return false;
+  }
   out->status = static_cast<kv::ExecStatus>(status);
-  out->tag = get_u64(p + 1);
   out->found = found != 0;
   return true;
+}
+
+// Reads a batch's { reserved, count } and checks count against the payload
+// length; 0 means the batch is malformed.
+std::uint32_t read_batch_count(Reader& r, std::uint32_t payload_len,
+                               std::size_t entry_size) {
+  const std::uint8_t reserved = r.u8();
+  const std::uint32_t count = r.u32();
+  if (!r.ok() || reserved != 0 || count == 0 || count > kMaxBatchCount ||
+      payload_len != kBatchHeaderSize + count * entry_size) {
+    return 0;
+  }
+  return count;
 }
 
 }  // namespace
@@ -168,7 +160,7 @@ bool decode_response_body(const std::uint8_t* p, std::size_t found_off,
 DecodeResult decode_any(const std::uint8_t* data, std::size_t len,
                         std::size_t* consumed, DecodedFrame* out) {
   if (len < kLenPrefixSize) return DecodeResult::kNeedMore;
-  const std::uint32_t payload_len = get_u32(data);
+  const std::uint32_t payload_len = Reader(data, kLenPrefixSize).u32();
   // Bound the length *before* waiting for more bytes: an oversized prefix
   // must be rejected immediately, not buffered toward.
   if (payload_len < 4 || payload_len > kMaxBatchPayload)
@@ -181,52 +173,37 @@ DecodeResult decode_any(const std::uint8_t* data, std::size_t len,
   if (kind == DecodeResult::kError) return DecodeResult::kError;
   if (len < kLenPrefixSize + payload_len) return DecodeResult::kNeedMore;
 
+  // The body follows the magic, version and kind bytes.
+  Reader r(p + 3, payload_len - 3);
   switch (kind) {
-    case DecodeResult::kRequest: {
-      // Single request body: { op, tag, key, value_len } from offset 3.
-      if (!decode_request_body(p + 3, &out->req)) return DecodeResult::kError;
+    case DecodeResult::kRequest:
+      if (!read_request(r, &out->req)) return DecodeResult::kError;
       break;
-    }
-    case DecodeResult::kResponse: {
-      if (!decode_response_body(p + 3, /*found_off=*/9, &out->resp))
-        return DecodeResult::kError;
+    case DecodeResult::kResponse:
+      if (!read_response(r, &out->resp)) return DecodeResult::kError;
       break;
-    }
     case DecodeResult::kBatchRequest: {
-      if (p[3] != 0) return DecodeResult::kError;  // reserved byte
-      const std::uint32_t count = get_u32(p + 4);
-      if (count == 0 || count > kMaxBatchCount ||
-          payload_len !=
-              kBatchHeaderSize + count * kBatchRequestEntrySize) {
-        return DecodeResult::kError;
-      }
+      const std::uint32_t count =
+          read_batch_count(r, payload_len, kBatchRequestEntrySize);
+      if (count == 0) return DecodeResult::kError;
       out->batch_req.clear();
       out->batch_req.reserve(count);
-      const std::uint8_t* e = p + kBatchHeaderSize;
-      for (std::uint32_t i = 0; i < count;
-           ++i, e += kBatchRequestEntrySize) {
+      for (std::uint32_t i = 0; i < count; ++i) {
         RequestFrame f;
-        if (!decode_request_body(e, &f)) return DecodeResult::kError;
+        if (!read_request(r, &f)) return DecodeResult::kError;
         out->batch_req.push_back(f);
       }
       break;
     }
     case DecodeResult::kBatchResponse: {
-      if (p[3] != 0) return DecodeResult::kError;  // reserved byte
-      const std::uint32_t count = get_u32(p + 4);
-      if (count == 0 || count > kMaxBatchCount ||
-          payload_len !=
-              kBatchHeaderSize + count * kBatchResponseEntrySize) {
-        return DecodeResult::kError;
-      }
+      const std::uint32_t count =
+          read_batch_count(r, payload_len, kBatchResponseEntrySize);
+      if (count == 0) return DecodeResult::kError;
       out->batch_resp.clear();
       out->batch_resp.reserve(count);
-      const std::uint8_t* e = p + kBatchHeaderSize;
-      for (std::uint32_t i = 0; i < count;
-           ++i, e += kBatchResponseEntrySize) {
+      for (std::uint32_t i = 0; i < count; ++i) {
         ResponseFrame f;
-        if (!decode_response_body(e, /*found_off=*/9, &f))
-          return DecodeResult::kError;
+        if (!read_response(r, &f)) return DecodeResult::kError;
         out->batch_resp.push_back(f);
       }
       break;
@@ -236,29 +213,6 @@ DecodeResult decode_any(const std::uint8_t* data, std::size_t len,
   }
   *consumed = kLenPrefixSize + payload_len;
   return kind;
-}
-
-DecodeResult decode_frame(const std::uint8_t* data, std::size_t len,
-                          std::size_t* consumed, RequestFrame* req,
-                          ResponseFrame* resp) {
-  DecodedFrame f;
-  const DecodeResult r = decode_any(data, len, consumed, &f);
-  switch (r) {
-    case DecodeResult::kRequest:
-      *req = f.req;
-      return r;
-    case DecodeResult::kResponse:
-      *resp = f.resp;
-      return r;
-    case DecodeResult::kBatchRequest:
-    case DecodeResult::kBatchResponse:
-      // Version-1 callers do not speak batches: protocol violation. Nothing
-      // is consumed on kError, even though the batch decoded cleanly.
-      *consumed = 0;
-      return DecodeResult::kError;
-    default:
-      return r;
-  }
 }
 
 }  // namespace mgc::net

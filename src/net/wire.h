@@ -127,13 +127,4 @@ struct DecodedFrame {
 DecodeResult decode_any(const std::uint8_t* data, std::size_t len,
                         std::size_t* consumed, DecodedFrame* out);
 
-// Single-frame compatibility wrapper: as decode_any, but batch frames are
-// reported as kError (callers that speak only protocol version 1 treat
-// pipelined traffic as a protocol violation). On kRequest / kResponse sets
-// *consumed and fills the matching out-param; on kNeedMore and kError
-// nothing is consumed.
-DecodeResult decode_frame(const std::uint8_t* data, std::size_t len,
-                          std::size_t* consumed, RequestFrame* req,
-                          ResponseFrame* resp);
-
 }  // namespace mgc::net

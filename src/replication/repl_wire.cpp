@@ -1,42 +1,11 @@
 #include "replication/repl_wire.h"
 
+#include "net/byte_codec.h"
 #include "net/wire.h"
 #include "support/check.h"
 
 namespace mgc::repl {
 namespace {
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
 
 net::MsgKind wire_kind(FrameKind k) {
   switch (k) {
@@ -126,48 +95,49 @@ void encode(const Frame& f, std::vector<std::uint8_t>& out) {
 
   const std::size_t payload = payload_size(f);
   out.reserve(out.size() + net::kLenPrefixSize + payload);
-  put_u32(out, static_cast<std::uint32_t>(payload));
-  put_u8(out, net::kMagic);
-  put_u8(out, net::kBatchVersion);
-  put_u8(out, static_cast<std::uint8_t>(wire_kind(f.kind)));
-  put_u8(out, 0);  // reserved
-  put_u32(out, f.node);
-  put_u64(out, f.term);
+  net::Writer w(out);
+  w.u32(static_cast<std::uint32_t>(payload));
+  w.u8(net::kMagic);
+  w.u8(net::kBatchVersion);
+  w.u8(static_cast<std::uint8_t>(wire_kind(f.kind)));
+  w.u8(0);  // reserved
+  w.u32(f.node);
+  w.u64(f.term);
   switch (f.kind) {
     case FrameKind::kHello:
       break;
     case FrameKind::kHeartbeat:
-      put_u32(out, static_cast<std::uint32_t>(f.shards.size()));
+      w.u32(static_cast<std::uint32_t>(f.shards.size()));
       for (const ShardSeqs& s : f.shards) {
-        put_u64(out, s.commit_seq);
-        put_u64(out, s.last_seq);
+        w.u64(s.commit_seq);
+        w.u64(s.last_seq);
       }
       break;
     case FrameKind::kAppend:
-      put_u32(out, f.shard);
-      put_u64(out, f.commit_seq);
-      put_u64(out, f.prev_term);
-      put_u32(out, static_cast<std::uint32_t>(f.entries.size()));
+      w.u32(f.shard);
+      w.u64(f.commit_seq);
+      w.u64(f.prev_term);
+      w.u32(static_cast<std::uint32_t>(f.entries.size()));
       for (const AppendEntry& e : f.entries) {
         MGC_CHECK(e.value_len <= net::kMaxValueLen);
-        put_u64(out, e.seq);
-        put_u64(out, e.key);
-        put_u64(out, e.term);
-        put_u32(out, e.value_len);
+        w.u64(e.seq);
+        w.u64(e.key);
+        w.u64(e.term);
+        w.u32(e.value_len);
       }
       break;
     case FrameKind::kAck:
-      put_u32(out, f.shard);
-      put_u64(out, f.ack_seq);
-      put_u64(out, f.ack_term);
+      w.u32(f.shard);
+      w.u64(f.ack_seq);
+      w.u64(f.ack_term);
       break;
     case FrameKind::kVoteReq:
-      put_u64(out, f.last_term);
-      put_u32(out, static_cast<std::uint32_t>(f.last_seqs.size()));
-      for (std::uint64_t s : f.last_seqs) put_u64(out, s);
+      w.u64(f.last_term);
+      w.u32(static_cast<std::uint32_t>(f.last_seqs.size()));
+      for (std::uint64_t s : f.last_seqs) w.u64(s);
       break;
     case FrameKind::kVoteResp:
-      put_u8(out, f.granted ? 1 : 0);
+      w.u8(f.granted ? 1 : 0);
       break;
   }
 }
@@ -175,7 +145,8 @@ void encode(const Frame& f, std::vector<std::uint8_t>& out) {
 DecodeResult decode(const std::uint8_t* data, std::size_t len,
                     std::size_t* consumed, Frame* out) {
   if (len < net::kLenPrefixSize) return DecodeResult::kNeedMore;
-  const std::uint32_t payload_len = get_u32(data);
+  const std::uint32_t payload_len =
+      net::Reader(data, net::kLenPrefixSize).u32();
   if (payload_len < kReplHeaderSize || payload_len > kMaxReplPayload) {
     return DecodeResult::kError;
   }
@@ -186,27 +157,27 @@ DecodeResult decode(const std::uint8_t* data, std::size_t len,
   if (len < net::kLenPrefixSize + payload_len) return DecodeResult::kNeedMore;
   if (p[3] != 0) return DecodeResult::kError;  // reserved byte
 
+  // Node and term follow the magic, version, kind and reserved bytes.
+  net::Reader r(p + 4, payload_len - 4);
   *out = Frame{};
   out->kind = kind;
-  out->node = get_u32(p + 4);
-  out->term = get_u64(p + 8);
-  const std::uint8_t* b = p + kReplHeaderSize;
+  out->node = r.u32();
+  out->term = r.u64();
   switch (kind) {
     case FrameKind::kHello:
       break;
     case FrameKind::kHeartbeat: {
-      const std::uint32_t count = get_u32(b);
+      const std::uint32_t count = r.u32();
       if (count == 0 || count > kMaxReplShards ||
           payload_len !=
               kReplHeaderSize + 4 + count * kHeartbeatEntrySize) {
         return DecodeResult::kError;
       }
       out->shards.reserve(count);
-      const std::uint8_t* e = b + 4;
-      for (std::uint32_t i = 0; i < count; ++i, e += kHeartbeatEntrySize) {
+      for (std::uint32_t i = 0; i < count; ++i) {
         ShardSeqs s;
-        s.commit_seq = get_u64(e);
-        s.last_seq = get_u64(e + 8);
+        s.commit_seq = r.u64();
+        s.last_seq = r.u64();
         // A commit ahead of the log it commits is incoherent.
         if (s.commit_seq > s.last_seq) return DecodeResult::kError;
         out->shards.push_back(s);
@@ -214,25 +185,24 @@ DecodeResult decode(const std::uint8_t* data, std::size_t len,
       break;
     }
     case FrameKind::kAppend: {
-      out->shard = get_u32(b);
+      out->shard = r.u32();
       if (out->shard >= kMaxReplShards) return DecodeResult::kError;
-      out->commit_seq = get_u64(b + 4);
-      out->prev_term = get_u64(b + 12);
-      const std::uint32_t count = get_u32(b + 20);
+      out->commit_seq = r.u64();
+      out->prev_term = r.u64();
+      const std::uint32_t count = r.u32();
       if (count == 0 || count > kMaxReplAppendCount ||
           payload_len != kAppendHeaderSize + count * kAppendEntrySize) {
         return DecodeResult::kError;
       }
       out->entries.reserve(count);
-      const std::uint8_t* e = b + 24;
       std::uint64_t prev_seq = 0;
       std::uint64_t prev_entry_term = out->prev_term;
-      for (std::uint32_t i = 0; i < count; ++i, e += kAppendEntrySize) {
+      for (std::uint32_t i = 0; i < count; ++i) {
         AppendEntry a;
-        a.seq = get_u64(e);
-        a.key = get_u64(e + 8);
-        a.term = get_u64(e + 16);
-        a.value_len = get_u32(e + 24);
+        a.seq = r.u64();
+        a.key = r.u64();
+        a.term = r.u64();
+        a.value_len = r.u32();
         if (a.value_len > net::kMaxValueLen) return DecodeResult::kError;
         // Entries must be a contiguous ascending run — the apply loop
         // depends on it, so enforce it at the trust boundary. Entry terms
@@ -258,10 +228,10 @@ DecodeResult decode(const std::uint8_t* data, std::size_t len,
       break;
     }
     case FrameKind::kAck:
-      out->shard = get_u32(b);
+      out->shard = r.u32();
       if (out->shard >= kMaxReplShards) return DecodeResult::kError;
-      out->ack_seq = get_u64(b + 4);
-      out->ack_term = get_u64(b + 12);
+      out->ack_seq = r.u64();
+      out->ack_term = r.u64();
       // An empty log has no last term; a non-empty one must name the term
       // of its last entry, which cannot be ahead of the acker's own term.
       if ((out->ack_seq == 0) != (out->ack_term == 0)) {
@@ -270,16 +240,15 @@ DecodeResult decode(const std::uint8_t* data, std::size_t len,
       if (out->ack_term > out->term) return DecodeResult::kError;
       break;
     case FrameKind::kVoteReq: {
-      out->last_term = get_u64(b);
-      const std::uint32_t count = get_u32(b + 8);
+      out->last_term = r.u64();
+      const std::uint32_t count = r.u32();
       if (count == 0 || count > kMaxReplShards ||
           payload_len != kVoteReqHeaderSize + count * kVoteReqEntrySize) {
         return DecodeResult::kError;
       }
       out->last_seqs.reserve(count);
-      const std::uint8_t* e = b + 12;
-      for (std::uint32_t i = 0; i < count; ++i, e += kVoteReqEntrySize) {
-        out->last_seqs.push_back(get_u64(e));
+      for (std::uint32_t i = 0; i < count; ++i) {
+        out->last_seqs.push_back(r.u64());
       }
       // A candidate campaigns at term > every entry it holds, and an
       // empty log (global last_seq 0) cannot name a last term.
@@ -290,12 +259,13 @@ DecodeResult decode(const std::uint8_t* data, std::size_t len,
       break;
     }
     case FrameKind::kVoteResp: {
-      const std::uint8_t granted = b[0];
+      const std::uint8_t granted = r.u8();
       if (granted > 1) return DecodeResult::kError;
       out->granted = granted != 0;
       break;
     }
   }
+  if (!r.ok()) return DecodeResult::kError;
   *consumed = net::kLenPrefixSize + payload_len;
   return DecodeResult::kFrame;
 }

@@ -49,8 +49,8 @@ bool hash_fires(std::uint64_t seed_v, Site s, std::uint64_t n, double p) {
 const char* const kSiteNames[kNumSites] = {
     "heap-alloc",     "tlab-refill",    "plab-refill",        "old-alloc",
     "heap-expand",    "promotion-fail", "g1-evac-fail",       "cms-concurrent-fail",
-    "gc-worker-stall","commitlog-write","kv-queue-full",      "shard-queue-full",
-    "net-accept",     "net-read-short", "net-write-short",    "net-epipe",
+    "gc-worker-stall","commitlog-write","kv-queue-full",      "net-accept",
+    "net-read-short", "net-write-short","net-epipe",
     "repl-append-drop", "repl-ack-drop", "repl-heartbeat-loss",
     "repl-follower-stall",
 };

@@ -62,8 +62,8 @@ enum class Site : std::uint8_t {
   kGcWorkerStall,    // simulate a slow/stalled parallel GC worker
   // kvstore
   kCommitLogWrite,   // commit-log append fails (scoped: shard index)
-  kKvQueueFull,      // request queue reports full (load shed)
-  kKvShardQueueFull, // one shard's submission queue reports full (scoped)
+  kKvQueueFull,      // shard request queue reports full (load shed;
+                     // scoped: shard index)
   // net
   kNetAccept,        // accept() drops the incoming connection (scoped: loop)
   kNetReadShort,     // recv() capped to 1 byte (short-count)

@@ -103,7 +103,6 @@ const char* rank_name(LockRank r) {
     case LockRank::kRemSet: return "remset";
     case LockRank::kPromotedList: return "promoted-list";
     case LockRank::kFault: return "fault";
-    case LockRank::kNetHandoff: return "net-handoff";
     case LockRank::kNetSink: return "net-sink";
   }
   return "?";

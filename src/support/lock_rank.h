@@ -69,7 +69,6 @@ enum class LockRank : std::uint16_t {
   kPromotedList = 220,  // scavenge promoted-list flush lock
   // leaves that may be reached from almost anywhere
   kFault = 230,         // fault-injection slow-path g_mu
-  kNetHandoff = 240,    // net per-loop handoff queue
   kNetSink = 250,       // net completion sink
 };
 

@@ -26,8 +26,9 @@ TEST(ServerConcurrency, MixedTrafficWithFlushes) {
   scfg.commitlog_segment_bytes = 512 * KiB;
   scfg.commitlog_retention_bytes = 2 * MiB;
   scfg.value_len = 512;
-  Store store(vm, scfg);
-  Server server(vm, store, /*workers=*/3, /*queue_capacity=*/16);
+  ShardedStore sharded(vm, scfg, /*shards=*/1);
+  Store& store = sharded.shard(0);
+  Server server(vm, sharded, {.workers_per_shard = 3, .queue_capacity = 16});
 
   std::atomic<int> found{0};
   std::vector<std::thread> clients;
@@ -81,8 +82,9 @@ TEST(ServerConcurrency, QueueBackPressureBlocksClients) {
   cfg.young_bytes = 2 * MiB;
   Vm vm(cfg);
   StoreConfig scfg = StoreConfig::default_config(cfg.heap_bytes);
-  Store store(vm, scfg);
-  Server server(vm, store, /*workers=*/1, /*queue_capacity=*/2);
+  ShardedStore sharded(vm, scfg, /*shards=*/1);
+  Store& store = sharded.shard(0);
+  Server server(vm, sharded, {.workers_per_shard = 1, .queue_capacity = 2});
   // Many clients against a 1-worker, 2-slot queue: correctness under
   // saturation (no lost or duplicated completions).
   std::vector<std::thread> clients;
@@ -113,11 +115,12 @@ TEST(ServerConcurrency, DestroyUnderLoadReleasesBlockedClients) {
   cfg.young_bytes = 2 * MiB;
   Vm vm(cfg);
   StoreConfig scfg = StoreConfig::default_config(cfg.heap_bytes);
-  Store store(vm, scfg);
+  ShardedStore sharded(vm, scfg, /*shards=*/1);
+  Store& store = sharded.shard(0);
   // 1 worker and a 1-slot queue: with 6 looping clients, several are
   // blocked in admission control at any instant.
-  auto server = std::make_unique<Server>(vm, store, /*workers=*/1,
-                                         /*queue_capacity=*/1);
+  auto server = std::make_unique<Server>(
+      vm, sharded, ServerConfig{.workers_per_shard = 1, .queue_capacity = 1});
 
   std::atomic<std::uint64_t> ok{0};
   std::atomic<std::uint64_t> rejected{0};

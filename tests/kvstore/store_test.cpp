@@ -110,8 +110,8 @@ TEST(ServerTest, EndToEndReadsAndWrites) {
   Vm vm(vm_config());
   StoreConfig cfg = StoreConfig::default_config(vm.config().heap_bytes);
   cfg.value_len = 256;
-  Store store(vm, cfg);
-  Server server(vm, store, /*workers=*/4);
+  ShardedStore store(vm, cfg, /*shards=*/1);
+  Server server(vm, store, {.workers_per_shard = 4});
 
   // Insert then read back from plain client threads.
   std::vector<std::thread> clients;

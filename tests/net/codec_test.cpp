@@ -18,11 +18,10 @@ namespace {
 // Copies the bytes into an exactly-sized heap block so ASan catches any
 // read past the end, then decodes.
 DecodeResult decode_exact(const std::vector<std::uint8_t>& bytes,
-                          std::size_t* consumed, RequestFrame* req,
-                          ResponseFrame* resp) {
+                          std::size_t* consumed, DecodedFrame* out) {
   std::vector<std::uint8_t> exact(bytes);
   *consumed = 0;
-  return decode_frame(exact.data(), exact.size(), consumed, req, resp);
+  return decode_any(exact.data(), exact.size(), consumed, out);
 }
 
 TEST(NetCodec, RequestRoundTripAllOpsByteExact) {
@@ -40,21 +39,19 @@ TEST(NetCodec, RequestRoundTripAllOpsByteExact) {
       encode_request(in, bytes);
       ASSERT_EQ(bytes.size(), kLenPrefixSize + kRequestPayloadSize);
 
-      RequestFrame out;
-      ResponseFrame rignored;
+      DecodedFrame out;
       std::size_t consumed = 0;
-      ASSERT_EQ(decode_exact(bytes, &consumed, &out, &rignored),
-                DecodeResult::kRequest);
+      ASSERT_EQ(decode_exact(bytes, &consumed, &out), DecodeResult::kRequest);
       EXPECT_EQ(consumed, bytes.size());
-      EXPECT_EQ(out.req.op, in.req.op);
-      EXPECT_EQ(out.req.key, in.req.key);
-      EXPECT_EQ(out.req.value_len, in.req.value_len);
-      EXPECT_EQ(out.tag, in.tag);
+      EXPECT_EQ(out.req.req.op, in.req.op);
+      EXPECT_EQ(out.req.req.key, in.req.key);
+      EXPECT_EQ(out.req.req.value_len, in.req.value_len);
+      EXPECT_EQ(out.req.tag, in.tag);
 
       // Canonical codec: re-encoding the decoded frame reproduces the
       // original bytes exactly.
       std::vector<std::uint8_t> again;
-      encode_request(out, again);
+      encode_request(out.req, again);
       EXPECT_EQ(again, bytes);
     }
   }
@@ -72,18 +69,16 @@ TEST(NetCodec, ResponseRoundTripByteExact) {
       encode_response(in, bytes);
       ASSERT_EQ(bytes.size(), kLenPrefixSize + kResponsePayloadSize);
 
-      RequestFrame qignored;
-      ResponseFrame out;
+      DecodedFrame out;
       std::size_t consumed = 0;
-      ASSERT_EQ(decode_exact(bytes, &consumed, &qignored, &out),
-                DecodeResult::kResponse);
+      ASSERT_EQ(decode_exact(bytes, &consumed, &out), DecodeResult::kResponse);
       EXPECT_EQ(consumed, bytes.size());
-      EXPECT_EQ(out.tag, in.tag);
-      EXPECT_EQ(out.status, in.status);
-      EXPECT_EQ(out.found, in.found);
+      EXPECT_EQ(out.resp.tag, in.tag);
+      EXPECT_EQ(out.resp.status, in.status);
+      EXPECT_EQ(out.resp.found, in.found);
 
       std::vector<std::uint8_t> again;
-      encode_response(out, again);
+      encode_response(out.resp, again);
       EXPECT_EQ(again, bytes);
     }
   }
@@ -102,14 +97,13 @@ TEST(NetCodec, BackToBackFramesDecodeSequentially) {
   }
   std::size_t off = 0;
   for (int i = 0; i < kFrames; ++i) {
-    RequestFrame out;
-    ResponseFrame rignored;
+    DecodedFrame out;
     std::size_t consumed = 0;
-    ASSERT_EQ(decode_frame(bytes.data() + off, bytes.size() - off, &consumed,
-                           &out, &rignored),
+    ASSERT_EQ(decode_any(bytes.data() + off, bytes.size() - off, &consumed,
+                         &out),
               DecodeResult::kRequest);
-    EXPECT_EQ(out.req.key, static_cast<std::uint64_t>(i));
-    EXPECT_EQ(out.tag, 1000u + static_cast<std::uint64_t>(i));
+    EXPECT_EQ(out.req.req.key, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(out.req.tag, 1000u + static_cast<std::uint64_t>(i));
     off += consumed;
   }
   EXPECT_EQ(off, bytes.size());
@@ -127,10 +121,9 @@ TEST(NetCodec, TruncatedFramesAreNeverAccepted) {
   for (std::size_t len = 0; len < full.size(); ++len) {
     std::vector<std::uint8_t> prefix(full.begin(),
                                      full.begin() + static_cast<long>(len));
-    RequestFrame out;
-    ResponseFrame rignored;
+    DecodedFrame out;
     std::size_t consumed = 99;
-    const DecodeResult r = decode_exact(prefix, &consumed, &out, &rignored);
+    const DecodeResult r = decode_exact(prefix, &consumed, &out);
     EXPECT_EQ(r, DecodeResult::kNeedMore) << "prefix length " << len;
     EXPECT_EQ(consumed, 0u) << "nothing may be consumed on a partial frame";
   }
@@ -148,14 +141,12 @@ TEST(NetCodec, OversizedLengthPrefixRejectedImmediately) {
     for (int b = 0; b < 4; ++b)
       bytes[static_cast<std::size_t>(b)] =
           static_cast<std::uint8_t>(bogus >> (8 * b));
-    RequestFrame out;
-    ResponseFrame rignored;
+    DecodedFrame out;
     std::size_t consumed = 0;
     // Rejected with only the prefix present: the decoder must not ask for
     // `bogus` more bytes first (that would let a client wedge the server
     // buffer).
-    EXPECT_EQ(decode_exact(bytes, &consumed, &out, &rignored),
-              DecodeResult::kError);
+    EXPECT_EQ(decode_exact(bytes, &consumed, &out), DecodeResult::kError);
   }
   // Undersized (< header) lengths are equally malformed.
   for (std::uint32_t tiny = 0; tiny < 4; ++tiny) {
@@ -163,11 +154,9 @@ TEST(NetCodec, OversizedLengthPrefixRejectedImmediately) {
     for (int b = 0; b < 4; ++b)
       bytes[static_cast<std::size_t>(b)] =
           static_cast<std::uint8_t>(tiny >> (8 * b));
-    RequestFrame out;
-    ResponseFrame rignored;
+    DecodedFrame out;
     std::size_t consumed = 0;
-    EXPECT_EQ(decode_exact(bytes, &consumed, &out, &rignored),
-              DecodeResult::kError);
+    EXPECT_EQ(decode_exact(bytes, &consumed, &out), DecodeResult::kError);
   }
 }
 
@@ -297,6 +286,128 @@ TEST(NetCodec, BatchCountMustMatchPayloadExactly) {
             DecodeResult::kError);
 }
 
+// Golden bytes: one frame of every client kind, spelled out by hand from
+// the layout in wire.h. The round-trip tests above cannot catch a mistake
+// made the same way by encoder and decoder (byte order, field order, a
+// shifted offset); these literals can. Every multi-byte field holds a value
+// with distinct nonzero bytes so a byte-order slip changes the encoding.
+TEST(NetCodec, GoldenBytesPinEveryClientKind) {
+  RequestFrame req;
+  req.req.op = kv::OpType::kUpdate;
+  req.req.key = 0x0102030405060708ULL;
+  req.req.value_len = 0x000A0B0C;
+  req.tag = 0x1122334455667788ULL;
+  const std::vector<std::uint8_t> req_bytes = {
+      0x18, 0x00, 0x00, 0x00,                          // len 24
+      0xC5, 0x01, 0x00, 0x01,                          // magic v1 kind op
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // tag
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // key
+      0x0C, 0x0B, 0x0A, 0x00};                         // value_len
+
+  ResponseFrame resp;
+  resp.tag = 0x8877665544332211ULL;
+  resp.status = kv::ExecStatus::kOverloaded;
+  resp.found = true;
+  const std::vector<std::uint8_t> resp_bytes = {
+      0x0D, 0x00, 0x00, 0x00,                          // len 13
+      0xC5, 0x01, 0x01, 0x02,                          // magic v1 kind status
+      0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88,  // tag
+      0x01};                                           // found
+
+  std::vector<RequestFrame> breq(2);
+  breq[0].req.op = kv::OpType::kRead;
+  breq[0].tag = 0x0102;
+  breq[0].req.key = 0x0300000000000004ULL;
+  breq[0].req.value_len = 0x0506;
+  breq[1].req.op = kv::OpType::kInsert;
+  breq[1].tag = 0x0700000000000008ULL;
+  breq[1].req.key = 0x090A;
+  breq[1].req.value_len = kMaxValueLen;
+  const std::vector<std::uint8_t> breq_bytes = {
+      0x32, 0x00, 0x00, 0x00,                          // len 50
+      0xC5, 0x02, 0x02, 0x00,                          // magic v2 kind rsvd
+      0x02, 0x00, 0x00, 0x00,                          // count
+      0x00,                                            // [0] op
+      0x02, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // [0] tag
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03,  // [0] key
+      0x06, 0x05, 0x00, 0x00,                          // [0] value_len
+      0x02,                                            // [1] op
+      0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07,  // [1] tag
+      0x0A, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // [1] key
+      0x00, 0x00, 0x10, 0x00};                         // [1] value_len
+
+  std::vector<ResponseFrame> bresp(2);
+  bresp[0].status = kv::ExecStatus::kOk;
+  bresp[0].tag = 0x0102;
+  bresp[0].found = true;
+  bresp[1].status = kv::ExecStatus::kNotLeader;
+  bresp[1].tag = 0x0B0000000000000CULL;
+  bresp[1].found = false;
+  const std::vector<std::uint8_t> bresp_bytes = {
+      0x1C, 0x00, 0x00, 0x00,                          // len 28
+      0xC5, 0x02, 0x03, 0x00,                          // magic v2 kind rsvd
+      0x02, 0x00, 0x00, 0x00,                          // count
+      0x00,                                            // [0] status
+      0x02, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // [0] tag
+      0x01,                                            // [0] found
+      0x03,                                            // [1] status
+      0x0C, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0B,  // [1] tag
+      0x00};                                           // [1] found
+
+  std::vector<std::uint8_t> bytes;
+  encode_request(req, bytes);
+  EXPECT_EQ(bytes, req_bytes);
+  bytes.clear();
+  encode_response(resp, bytes);
+  EXPECT_EQ(bytes, resp_bytes);
+  bytes.clear();
+  encode_request_batch(breq, bytes);
+  EXPECT_EQ(bytes, breq_bytes);
+  bytes.clear();
+  encode_response_batch(bresp, bytes);
+  EXPECT_EQ(bytes, bresp_bytes);
+
+  // And the decoder reads every field back from the literal bytes.
+  DecodedFrame out;
+  std::size_t consumed = 0;
+  ASSERT_EQ(decode_any(req_bytes.data(), req_bytes.size(), &consumed, &out),
+            DecodeResult::kRequest);
+  EXPECT_EQ(consumed, req_bytes.size());
+  EXPECT_EQ(out.req.req.op, req.req.op);
+  EXPECT_EQ(out.req.req.key, req.req.key);
+  EXPECT_EQ(out.req.req.value_len, req.req.value_len);
+  EXPECT_EQ(out.req.tag, req.tag);
+
+  ASSERT_EQ(decode_any(resp_bytes.data(), resp_bytes.size(), &consumed, &out),
+            DecodeResult::kResponse);
+  EXPECT_EQ(consumed, resp_bytes.size());
+  EXPECT_EQ(out.resp.tag, resp.tag);
+  EXPECT_EQ(out.resp.status, resp.status);
+  EXPECT_EQ(out.resp.found, resp.found);
+
+  ASSERT_EQ(decode_any(breq_bytes.data(), breq_bytes.size(), &consumed, &out),
+            DecodeResult::kBatchRequest);
+  EXPECT_EQ(consumed, breq_bytes.size());
+  ASSERT_EQ(out.batch_req.size(), breq.size());
+  for (std::size_t i = 0; i < breq.size(); ++i) {
+    EXPECT_EQ(out.batch_req[i].req.op, breq[i].req.op) << i;
+    EXPECT_EQ(out.batch_req[i].req.key, breq[i].req.key) << i;
+    EXPECT_EQ(out.batch_req[i].req.value_len, breq[i].req.value_len) << i;
+    EXPECT_EQ(out.batch_req[i].tag, breq[i].tag) << i;
+  }
+
+  ASSERT_EQ(
+      decode_any(bresp_bytes.data(), bresp_bytes.size(), &consumed, &out),
+      DecodeResult::kBatchResponse);
+  EXPECT_EQ(consumed, bresp_bytes.size());
+  ASSERT_EQ(out.batch_resp.size(), bresp.size());
+  for (std::size_t i = 0; i < bresp.size(); ++i) {
+    EXPECT_EQ(out.batch_resp[i].tag, bresp[i].tag) << i;
+    EXPECT_EQ(out.batch_resp[i].status, bresp[i].status) << i;
+    EXPECT_EQ(out.batch_resp[i].found, bresp[i].found) << i;
+  }
+}
+
 TEST(NetCodec, TruncatedBatchFramesAreNeverAccepted) {
   std::vector<RequestFrame> in(3);
   for (std::size_t i = 0; i < in.size(); ++i) {
@@ -315,20 +426,6 @@ TEST(NetCodec, TruncatedBatchFramesAreNeverAccepted) {
         << "prefix length " << len;
     EXPECT_EQ(consumed, 0u);
   }
-}
-
-TEST(NetCodec, DecodeFrameTreatsBatchesAsProtocolErrors) {
-  // The version-1 wrapper must refuse pipelined frames without consuming
-  // them — a v1-only peer treats batch traffic as a protocol violation.
-  std::vector<RequestFrame> in(2);
-  std::vector<std::uint8_t> bytes;
-  encode_request_batch(in, bytes);
-  RequestFrame req;
-  ResponseFrame resp;
-  std::size_t consumed = 0;
-  EXPECT_EQ(decode_frame(bytes.data(), bytes.size(), &consumed, &req, &resp),
-            DecodeResult::kError);
-  EXPECT_EQ(consumed, 0u);
 }
 
 TEST(NetCodec, BatchBitFlipFuzzNeverReadsOutOfBoundsOrAborts) {
@@ -431,10 +528,9 @@ TEST(NetCodec, BitFlipFuzzNeverReadsOutOfBoundsOrAborts) {
       bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     }
 
-    RequestFrame out;
-    ResponseFrame rout;
+    DecodedFrame out;
     std::size_t consumed = 0;
-    const DecodeResult r = decode_exact(bytes, &consumed, &out, &rout);
+    const DecodeResult r = decode_exact(bytes, &consumed, &out);
     switch (r) {
       case DecodeResult::kError:
       case DecodeResult::kNeedMore:  // flip landed in the length prefix
@@ -447,7 +543,7 @@ TEST(NetCodec, BitFlipFuzzNeverReadsOutOfBoundsOrAborts) {
         ++still_valid;
         EXPECT_EQ(consumed, bytes.size());
         std::vector<std::uint8_t> again;
-        encode_request(out, again);
+        encode_request(out.req, again);
         EXPECT_EQ(again, bytes);
         break;
       }
@@ -472,11 +568,10 @@ TEST(NetCodec, RandomGarbageFuzzIsMemorySafe) {
     const std::size_t len = rng.below(80);
     std::vector<std::uint8_t> bytes(len);
     for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
-    RequestFrame out;
-    ResponseFrame rout;
+    DecodedFrame out;
     std::size_t consumed = 0;
-    const DecodeResult r = decode_exact(bytes, &consumed, &out, &rout);
-    if (r == DecodeResult::kRequest || r == DecodeResult::kResponse) {
+    const DecodeResult r = decode_exact(bytes, &consumed, &out);
+    if (r != DecodeResult::kNeedMore && r != DecodeResult::kError) {
       EXPECT_LE(consumed, bytes.size());
       EXPECT_GT(consumed, 0u);
     }

@@ -46,8 +46,8 @@ TEST(NetFault, DisconnectMidRequestDropsConnectionNotServer) {
   VmConfig cfg = small_cfg();
   Vm vm(cfg);
   kv::StoreConfig scfg = kv::StoreConfig::default_config(cfg.heap_bytes);
-  kv::Store store(vm, scfg);
-  kv::Server server(vm, store, /*workers=*/2);
+  kv::ShardedStore store(vm, scfg, /*shards=*/1);
+  kv::Server server(vm, store, {.workers_per_shard = 2});
   NetServer net(server);
 
   constexpr int kRounds = 50;
@@ -103,8 +103,8 @@ TEST(NetFault, HalfWrittenFrameAtShutdownDoesNotWedgeDrain) {
   VmConfig cfg = small_cfg();
   Vm vm(cfg);
   kv::StoreConfig scfg = kv::StoreConfig::default_config(cfg.heap_bytes);
-  kv::Store store(vm, scfg);
-  kv::Server server(vm, store, /*workers=*/2);
+  kv::ShardedStore store(vm, scfg, /*shards=*/1);
+  kv::Server server(vm, store, {.workers_per_shard = 2});
   auto net = std::make_unique<NetServer>(server);
   const std::uint16_t port = net->port();
 
@@ -147,13 +147,12 @@ TEST(NetFault, HalfWrittenFrameAtShutdownDoesNotWedgeDrain) {
     if (n <= 0) break;
     acc.insert(acc.end(), chunk, chunk + n);
   }
-  RequestFrame qignored;
-  ResponseFrame resp;
+  DecodedFrame df;
   std::size_t consumed = 0;
-  ASSERT_EQ(decode_frame(acc.data(), acc.size(), &consumed, &qignored, &resp),
+  ASSERT_EQ(decode_any(acc.data(), acc.size(), &consumed, &df),
             DecodeResult::kResponse);
-  EXPECT_EQ(resp.tag, 78u);
-  EXPECT_TRUE(resp.found);
+  EXPECT_EQ(df.resp.tag, 78u);
+  EXPECT_TRUE(df.resp.found);
 
   // A got EOF without a response (its frame never completed).
   std::uint8_t buf[16];
@@ -168,8 +167,8 @@ TEST(NetFault, ShutdownUnderLiveTrafficNeverHangs) {
   VmConfig cfg = small_cfg();
   Vm vm(cfg);
   kv::StoreConfig scfg = kv::StoreConfig::default_config(cfg.heap_bytes);
-  kv::Store store(vm, scfg);
-  kv::Server server(vm, store, /*workers=*/3);
+  kv::ShardedStore store(vm, scfg, /*shards=*/1);
+  kv::Server server(vm, store, {.workers_per_shard = 3});
   NetServer net(server);
 
   std::atomic<bool> stop{false};

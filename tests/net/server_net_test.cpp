@@ -24,15 +24,17 @@ struct Rig {
   VmConfig cfg;
   Vm vm;
   kv::StoreConfig scfg;
-  kv::Store store;
+  kv::ShardedStore store;
   kv::Server server;
 
   explicit Rig(int workers = 3, std::size_t queue_capacity = 64)
       : cfg(make_cfg()),
         vm(cfg),
         scfg(kv::StoreConfig::default_config(cfg.heap_bytes)),
-        store(vm, scfg),
-        server(vm, store, workers, queue_capacity) {}
+        store(vm, scfg, /*shards=*/1),
+        server(vm, store,
+               {.workers_per_shard = workers,
+                .queue_capacity = queue_capacity}) {}
 
   static VmConfig make_cfg() {
     VmConfig c;
@@ -133,12 +135,13 @@ TEST(NetLoopback, PartialFramesAcrossWritesAndBatchedFrames) {
   auto read_response = [&](ResponseFrame* out) {
     std::vector<std::uint8_t> acc;
     for (;;) {
-      RequestFrame qignored;
+      DecodedFrame df;
       std::size_t consumed = 0;
-      const DecodeResult r = decode_frame(acc.data(), acc.size(), &consumed,
-                                          &qignored, out);
+      const DecodeResult r =
+          decode_any(acc.data(), acc.size(), &consumed, &df);
       if (r == DecodeResult::kResponse) {
         acc.erase(acc.begin(), acc.begin() + static_cast<long>(consumed));
+        *out = df.resp;
         return true;
       }
       if (r != DecodeResult::kNeedMore) return false;
@@ -168,12 +171,11 @@ TEST(NetLoopback, PartialFramesAcrossWritesAndBatchedFrames) {
   // must match submission order on a single connection.
   std::vector<std::uint8_t> acc;
   for (std::uint64_t i = 0; i < 5; ++i) {
-    ResponseFrame r2;
-    RequestFrame qignored;
+    DecodedFrame df;
     for (;;) {
       std::size_t consumed = 0;
-      const DecodeResult r = decode_frame(acc.data(), acc.size(), &consumed,
-                                          &qignored, &r2);
+      const DecodeResult r =
+          decode_any(acc.data(), acc.size(), &consumed, &df);
       if (r == DecodeResult::kResponse) {
         acc.erase(acc.begin(), acc.begin() + static_cast<long>(consumed));
         break;
@@ -184,8 +186,8 @@ TEST(NetLoopback, PartialFramesAcrossWritesAndBatchedFrames) {
       ASSERT_GT(n, 0);
       acc.insert(acc.end(), chunk, chunk + n);
     }
-    EXPECT_EQ(r2.tag, 100 + i);
-    EXPECT_TRUE(r2.found);
+    EXPECT_EQ(df.resp.tag, 100 + i);
+    EXPECT_TRUE(df.resp.found);
   }
 }
 

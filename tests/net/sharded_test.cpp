@@ -1,8 +1,8 @@
 // Shard-per-core integration: the sharded kv::Server behind the multi-loop
 // NetServer front-end. Covers M clients x K ops tag integrity across >= 4
 // shards, pipelined batch round trips, per-shard shedding isolation under
-// a skewed workload (scoped fault injection), the SO_REUSEPORT fallback's
-// round-robin fd handoff, and the per-loop drain invariant
+// a skewed workload (scoped fault injection), the per-loop SO_REUSEPORT
+// listeners, and the per-loop drain invariant
 // frames_out + dropped_responses == frames_in after shutdown.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "kvstore/sharded_store.h"
 #include "net/blocking_client.h"
 #include "net/net_server.h"
-#include "net/socket.h"
 #include "net/wire.h"
 #include "support/fault.h"
 #include "support/units.h"
@@ -196,12 +195,12 @@ TEST(ShardedNet, BatchPipelineRoundTrip) {
 
 TEST(ShardedNet, SkewSheddingIsolatedToShard) {
   ShardedRig rig(/*shards=*/4);
-  // Arm the per-shard queue-full site for shard 2 only: every admission to
+  // Arm the queue-full site scoped to shard 2 only: every admission to
   // that shard sheds, the rest of the fleet stays healthy.
   constexpr std::uint32_t kHotShard = 2;
   fault::Policy p;
   p.scope = kHotShard;
-  fault::ScopedFault hot(fault::Site::kKvShardQueueFull, p);
+  fault::ScopedFault hot(fault::Site::kKvQueueFull, p);
 
   // One key per shard, found by walking the hash.
   std::vector<std::uint64_t> key_for_shard(4, ~0ULL);
@@ -239,65 +238,35 @@ TEST(ShardedNet, SkewSheddingIsolatedToShard) {
   }
 }
 
-TEST(ShardedNet, ReuseportFallbackRoundRobin) {
+TEST(ShardedNet, ReuseportUsedWhenSupported) {
   ShardedRig rig(/*shards=*/2);
   NetServerConfig ncfg;
-  ncfg.loops = 3;
-  ncfg.allow_reuseport = false;  // force the single-accept-loop fallback
+  ncfg.loops = 2;
   NetServer net(rig.server, ncfg);
-  ASSERT_FALSE(net.using_reuseport());
-  ASSERT_EQ(net.loop_count(), 3u);
+  ASSERT_EQ(net.loop_count(), 2u);
 
-  // Sequential clients: accepts happen in connect order, so the fallback's
-  // round-robin must spread 6 connections as exactly 2 per loop.
-  constexpr int kClients = 6;
+  // Each loop owns an SO_REUSEPORT listener on the one port, so the kernel
+  // hashes connections across both loops. With 32 connections from fresh
+  // source ports, all landing on one loop has probability 2^-31.
+  constexpr int kClients = 32;
   for (int c = 0; c < kClients; ++c) {
     BlockingClient cl("127.0.0.1", net.port());
     ASSERT_TRUE(cl.connected());
     kv::Request req;
     req.op = kv::OpType::kInsert;
     req.key = static_cast<std::uint64_t>(c);
-    req.value_len = 32;
+    req.value_len = 16;
     ResponseFrame resp;
     ASSERT_TRUE(cl.call(req, &resp));
     EXPECT_EQ(resp.status, kv::ExecStatus::kOk);
-    req.op = kv::OpType::kRead;
-    ASSERT_TRUE(cl.call(req, &resp));
-    EXPECT_TRUE(resp.found);
   }
-
   net.shutdown();
   const auto per_loop = net.per_loop_stats();
-  ASSERT_EQ(per_loop.size(), 3u);
-  std::uint64_t accepted_total = 0;
+  ASSERT_EQ(per_loop.size(), 2u);
   for (std::size_t i = 0; i < per_loop.size(); ++i) {
-    EXPECT_EQ(per_loop[i].accepted, 2u) << "loop " << i;
-    accepted_total += per_loop[i].accepted;
-    EXPECT_EQ(per_loop[i].closed, per_loop[i].accepted);
+    EXPECT_GT(per_loop[i].accepted, 0u) << "loop " << i << " never accepted";
   }
-  EXPECT_EQ(accepted_total, static_cast<std::uint64_t>(kClients));
-  EXPECT_EQ(net.stats().frames_in, static_cast<std::uint64_t>(2 * kClients));
-  expect_per_loop_drain_invariant(net);
-}
-
-TEST(ShardedNet, ReuseportUsedWhenSupported) {
-  ShardedRig rig(/*shards=*/2);
-  NetServerConfig ncfg;
-  ncfg.loops = 2;
-  NetServer net(rig.server, ncfg);
-  EXPECT_EQ(net.using_reuseport(), reuseport_supported());
-
-  // Whatever the front-end shape, the port serves traffic.
-  BlockingClient cl("127.0.0.1", net.port());
-  ASSERT_TRUE(cl.connected());
-  kv::Request req;
-  req.op = kv::OpType::kInsert;
-  req.key = 99;
-  req.value_len = 16;
-  ResponseFrame resp;
-  ASSERT_TRUE(cl.call(req, &resp));
-  EXPECT_EQ(resp.status, kv::ExecStatus::kOk);
-  net.shutdown();
+  EXPECT_EQ(net.stats().accepted, static_cast<std::uint64_t>(kClients));
   expect_per_loop_drain_invariant(net);
 }
 

@@ -297,6 +297,146 @@ TEST(ReplWire, RejectsSemanticViolations) {
   EXPECT_EQ(dec(buf, &out), DecodeResult::kError);
 }
 
+// Golden bytes: one frame of every replication kind, spelled out by hand
+// from the layout in repl_wire.h. Round-trip tests cannot catch a mistake
+// made the same way on both sides of the codec (byte order, field order, a
+// shifted offset); these literals can. Every multi-byte field holds a value
+// with distinct nonzero bytes so a byte-order slip changes the encoding.
+TEST(ReplWire, GoldenBytesPinEveryReplicationKind) {
+  struct Golden {
+    const char* name;
+    Frame frame;
+    std::vector<std::uint8_t> bytes;
+  };
+  std::vector<Golden> cases;
+
+  Frame f;
+  f.kind = FrameKind::kHello;
+  f.node = 0x0A0B0C0D;
+  f.term = 0x0102030405060708ULL;
+  cases.push_back({"hello", f,
+                   {0x10, 0x00, 0x00, 0x00,                          // len 16
+                    0xC5, 0x02, 0x09, 0x00,                          // hdr
+                    0x0D, 0x0C, 0x0B, 0x0A,                          // node
+                    0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01}});  // term
+
+  f = Frame{};
+  f.kind = FrameKind::kHeartbeat;
+  f.node = 0x01020304;
+  f.term = 0x1112131415161718ULL;
+  f.shards = {{0x0000000100000002ULL, 0x0000000100000003ULL}};
+  cases.push_back({"heartbeat", f,
+                   {0x24, 0x00, 0x00, 0x00,                          // len 36
+                    0xC5, 0x02, 0x06, 0x00,                          // hdr
+                    0x04, 0x03, 0x02, 0x01,                          // node
+                    0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,  // term
+                    0x01, 0x00, 0x00, 0x00,                          // count
+                    0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,  // commit
+                    0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00}});  // last
+
+  f = Frame{};
+  f.kind = FrameKind::kAppend;
+  f.node = 0x00000102;
+  f.term = 0x0000000200000001ULL;
+  f.shard = 0;
+  f.commit_seq = 0x0000000100000000ULL;
+  f.prev_term = 0x0000000100000001ULL;
+  f.entries = {{0x0000000100000001ULL, 0x8877665544332211ULL,
+                0x0000000200000000ULL, 0x00010203}};
+  cases.push_back({"append", f,
+                   {0x44, 0x00, 0x00, 0x00,                          // len 68
+                    0xC5, 0x02, 0x04, 0x00,                          // hdr
+                    0x02, 0x01, 0x00, 0x00,                          // node
+                    0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,  // term
+                    0x00, 0x00, 0x00, 0x00,                          // shard
+                    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,  // commit
+                    0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,  // prev
+                    0x01, 0x00, 0x00, 0x00,                          // count
+                    0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,  // seq
+                    0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88,  // key
+                    0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,  // term
+                    0x03, 0x02, 0x01, 0x00}});                       // vlen
+
+  f = Frame{};
+  f.kind = FrameKind::kAck;
+  f.node = 0x00000201;
+  f.term = 0x0000000300000004ULL;
+  f.shard = 0;
+  f.ack_seq = 0x0000010000000001ULL;
+  f.ack_term = 0x0000000300000002ULL;
+  cases.push_back({"ack", f,
+                   {0x24, 0x00, 0x00, 0x00,                          // len 36
+                    0xC5, 0x02, 0x05, 0x00,                          // hdr
+                    0x01, 0x02, 0x00, 0x00,                          // node
+                    0x04, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,  // term
+                    0x00, 0x00, 0x00, 0x00,                          // shard
+                    0x01, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,  // seq
+                    0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00}});  // term
+
+  f = Frame{};
+  f.kind = FrameKind::kVoteReq;
+  f.node = 0x00030201;
+  f.term = 0x0000000500000000ULL;
+  f.last_term = 0x0000000400000001ULL;
+  f.last_seqs = {0x0000000100000002ULL, 0x0000000000000300ULL};
+  cases.push_back({"vote-req", f,
+                   {0x2C, 0x00, 0x00, 0x00,                          // len 44
+                    0xC5, 0x02, 0x07, 0x00,                          // hdr
+                    0x01, 0x02, 0x03, 0x00,                          // node
+                    0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,  // term
+                    0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,  // last
+                    0x02, 0x00, 0x00, 0x00,                          // count
+                    0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,  // seq 0
+                    0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}});  // seq 1
+
+  f = Frame{};
+  f.kind = FrameKind::kVoteResp;
+  f.node = 0x04030201;
+  f.term = 0x0000000600000007ULL;
+  f.granted = true;
+  cases.push_back({"vote-resp", f,
+                   {0x11, 0x00, 0x00, 0x00,                          // len 17
+                    0xC5, 0x02, 0x08, 0x00,                          // hdr
+                    0x01, 0x02, 0x03, 0x04,                          // node
+                    0x07, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00,  // term
+                    0x01}});                                         // granted
+
+  ASSERT_EQ(cases.size(), 6u);
+  for (const Golden& g : cases) {
+    EXPECT_EQ(enc(g.frame), g.bytes) << g.name;
+    Frame out;
+    std::size_t consumed = 0;
+    ASSERT_EQ(dec(g.bytes, &out, &consumed), DecodeResult::kFrame) << g.name;
+    EXPECT_EQ(consumed, g.bytes.size()) << g.name;
+    EXPECT_EQ(out.kind, g.frame.kind) << g.name;
+    EXPECT_EQ(out.node, g.frame.node) << g.name;
+    EXPECT_EQ(out.term, g.frame.term) << g.name;
+    EXPECT_EQ(out.shard, g.frame.shard) << g.name;
+    EXPECT_EQ(out.commit_seq, g.frame.commit_seq) << g.name;
+    EXPECT_EQ(out.prev_term, g.frame.prev_term) << g.name;
+    ASSERT_EQ(out.entries.size(), g.frame.entries.size()) << g.name;
+    for (std::size_t i = 0; i < out.entries.size(); ++i) {
+      EXPECT_EQ(out.entries[i].seq, g.frame.entries[i].seq) << g.name;
+      EXPECT_EQ(out.entries[i].key, g.frame.entries[i].key) << g.name;
+      EXPECT_EQ(out.entries[i].term, g.frame.entries[i].term) << g.name;
+      EXPECT_EQ(out.entries[i].value_len, g.frame.entries[i].value_len)
+          << g.name;
+    }
+    EXPECT_EQ(out.ack_seq, g.frame.ack_seq) << g.name;
+    EXPECT_EQ(out.ack_term, g.frame.ack_term) << g.name;
+    ASSERT_EQ(out.shards.size(), g.frame.shards.size()) << g.name;
+    for (std::size_t i = 0; i < out.shards.size(); ++i) {
+      EXPECT_EQ(out.shards[i].commit_seq, g.frame.shards[i].commit_seq)
+          << g.name;
+      EXPECT_EQ(out.shards[i].last_seq, g.frame.shards[i].last_seq)
+          << g.name;
+    }
+    EXPECT_EQ(out.last_term, g.frame.last_term) << g.name;
+    EXPECT_EQ(out.last_seqs, g.frame.last_seqs) << g.name;
+    EXPECT_EQ(out.granted, g.frame.granted) << g.name;
+  }
+}
+
 TEST(ReplWire, ReplicationFrameRejectedByClientDecoder) {
   // The planes share magic+version but not kinds: a replication frame on a
   // client connection must be a protocol error there, not a mystery frame.

@@ -120,17 +120,17 @@ TEST_F(FaultFramework, MalformedSpecsAreRejectedWithAnError) {
 TEST_F(FaultFramework, ScopedPolicyFiresOnlyOnMatchingScope) {
   Policy p;
   p.scope = 2;
-  arm(Site::kKvShardQueueFull, p);
+  arm(Site::kKvQueueFull, p);
   // Only shard 2's checks fire; other shards and unscoped checks pass.
-  EXPECT_FALSE(should_fire(Site::kKvShardQueueFull, 0));
-  EXPECT_FALSE(should_fire(Site::kKvShardQueueFull, 1));
-  EXPECT_TRUE(should_fire(Site::kKvShardQueueFull, 2));
-  EXPECT_FALSE(should_fire(Site::kKvShardQueueFull, 3));
-  EXPECT_FALSE(should_fire(Site::kKvShardQueueFull));  // unscoped call site
+  EXPECT_FALSE(should_fire(Site::kKvQueueFull, 0));
+  EXPECT_FALSE(should_fire(Site::kKvQueueFull, 1));
+  EXPECT_TRUE(should_fire(Site::kKvQueueFull, 2));
+  EXPECT_FALSE(should_fire(Site::kKvQueueFull, 3));
+  EXPECT_FALSE(should_fire(Site::kKvQueueFull));  // unscoped call site
   // Every check is counted (scope filtering happens after counting, so the
   // check numbering replays identically whatever the policy's scope).
-  EXPECT_EQ(check_count(Site::kKvShardQueueFull), 5u);
-  EXPECT_EQ(fire_count(Site::kKvShardQueueFull), 1u);
+  EXPECT_EQ(check_count(Site::kKvQueueFull), 5u);
+  EXPECT_EQ(fire_count(Site::kKvQueueFull), 1u);
 }
 
 TEST_F(FaultFramework, UnscopedPolicyMatchesEveryScope) {
@@ -162,11 +162,11 @@ TEST_F(FaultFramework, ScopeAndCountingComposeWithAfterAndLimit) {
 
 TEST_F(FaultFramework, ParseSpecScopeClause) {
   std::string err;
-  ASSERT_TRUE(parse_spec("shard-queue-full:shard=1;net-accept:loop=0:oneshot",
+  ASSERT_TRUE(parse_spec("kv-queue-full:shard=1;net-accept:loop=0:oneshot",
                          &err))
       << err;
-  EXPECT_FALSE(should_fire(Site::kKvShardQueueFull, 0));
-  EXPECT_TRUE(should_fire(Site::kKvShardQueueFull, 1));
+  EXPECT_FALSE(should_fire(Site::kKvQueueFull, 0));
+  EXPECT_TRUE(should_fire(Site::kKvQueueFull, 1));
   EXPECT_TRUE(should_fire(Site::kNetAccept, 0));
   EXPECT_FALSE(should_fire(Site::kNetAccept, 0)) << "oneshot spent";
   EXPECT_FALSE(should_fire(Site::kNetAccept, 1));

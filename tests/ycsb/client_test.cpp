@@ -26,8 +26,8 @@ TEST(ClientDriver, LoadAndRunAgainstRealServer) {
   cfg.gc_threads = 2;
   Vm vm(cfg);
   kv::StoreConfig scfg = kv::StoreConfig::default_config(cfg.heap_bytes);
-  kv::Store store(vm, scfg);
-  kv::Server server(vm, store, 4);
+  kv::ShardedStore store(vm, scfg, /*shards=*/1);
+  kv::Server server(vm, store, {.workers_per_shard = 4});
 
   WorkloadSpec spec = WorkloadSpec::paper_custom(2000, 8000, 4);
   spec.value_len = 512;

@@ -11,7 +11,7 @@ table against the test tree and fails if any site is orphaned:
   * each spec name must be the kebab-case derivation of its enumerator
     (Site::kReplAppendDrop <-> "repl-append-drop"), so a table row pasted
     against the wrong enumerator fails loudly instead of silently renaming
-    a site; two grandfathered names predate the rule (LEGACY_NAMES);
+    a site; one grandfathered name predates the rule (LEGACY_NAMES);
   * every site must be armed by at least one test, either programmatically
     (a `Site::kFoo` token) or through a spec string (its "kebab-name", the
     MGC_FAULT syntax) somewhere under tests/.
@@ -32,7 +32,6 @@ NAMES_RE = re.compile(r"kSiteNames\[[^\]]*\]\s*=\s*\{(.*?)\};", re.S)
 # MGC_FAULT specs and docs; everything added later must derive.
 LEGACY_NAMES = {
     "kCommitLogWrite": "commitlog-write",
-    "kKvShardQueueFull": "shard-queue-full",
 }
 
 

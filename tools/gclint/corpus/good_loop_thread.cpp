@@ -12,7 +12,7 @@ class NetServer {
   void loop_main() {
     for (;;) {
       drain_wakeups();
-      drain_handoff();
+      drain_completions();
     }
   }
 
@@ -24,15 +24,15 @@ class NetServer {
     wakeups_ += n > 0 ? 1 : 0;
   }
 
-  void drain_handoff() {
-    MutexLock g(handoff_mu_);  // plain guard, no safepoint parking: fine
+  void drain_completions() {
+    MutexLock g(sink_mu_);  // plain guard, no safepoint parking: fine
     pending_ = 0;
   }
 
   int wake_fd_ = -1;
   int pending_ = 0;
   long wakeups_ = 0;
-  Mutex handoff_mu_{LockRank::kNetHandoff, "corpus-handoff"};
+  Mutex sink_mu_{LockRank::kNetSink, "corpus-sink"};
 };
 
 }  // namespace goodnet

@@ -43,7 +43,7 @@ enum class LockRank : unsigned {
   kGcLog = 160,
   kGcBarrier = 170,
   kRemSet = 210,
-  kNetHandoff = 240,
+  kNetSink = 250,
 };
 
 class SpinLock {
