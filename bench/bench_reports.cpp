@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <map>
 
 #include "bench_common.h"
 #include "cassandra_common.h"
@@ -32,17 +33,21 @@ VmConfig epsilon_config(std::uint64_t allocated_bytes) {
 }
 
 struct PauseStats {
-  RunningStats roots_us, cards_us, evac_us;
+  RunningStats roots_us, cards_us, evac_us, term_us, steals;
+  RunningStats young_ms;  // kYoungGc pauses only
   std::vector<double> pause_ms;
   GcFailureCounters fails;
 
   explicit PauseStats(const std::vector<PauseEvent>& events) {
     for (const PauseEvent& e : events) {
       pause_ms.push_back(e.duration_ms());
+      if (e.kind == PauseKind::kYoungGc) young_ms.add(e.duration_ms());
       if (e.phases.any()) {
         roots_us.add(static_cast<double>(e.phases.root_scan_ns) / 1e3);
         cards_us.add(static_cast<double>(e.phases.card_scan_ns) / 1e3);
         evac_us.add(static_cast<double>(e.phases.evac_drain_ns) / 1e3);
+        term_us.add(static_cast<double>(e.phases.termination_ns) / 1e3);
+        steals.add(static_cast<double>(e.phases.steals));
       }
       fails.promotion_failures += e.failures.promotion_failures;
       fails.concurrent_mode_failures += e.failures.concurrent_mode_failures;
@@ -54,12 +59,58 @@ struct PauseStats {
   }
 };
 
+// Worker-count sweep, system GC off: the parallel young collectors rerun
+// with one GC worker against their default-count run from Figure 1(b).
+// parallel_speedup is the 1-worker average young pause over the default
+// one (above 1: the extra workers pay off). It is recorded under "config",
+// not as a guarded metric: higher is better, and on a 1-CPU host it only
+// measures the scheduler.
+void add_worker_sweep(
+    BenchReport& report, int iterations,
+    const std::map<GcKind, std::vector<PauseEvent>>& default_runs) {
+  std::cout << "\n--- GC worker sweep, system GC off ---\n";
+  Table sweep("xalan young pauses by GC worker count, system GC off");
+  sweep.header({"GC", "workers", "young pauses", "avg young (ms)",
+                "evac (us)", "term (us)", "steals", "speedup"});
+  Json speedups = Json::object();
+  for (GcKind gc : {GcKind::kParNew, GcKind::kParallelOld, GcKind::kG1}) {
+    const auto def = default_runs.find(gc);
+    if (def == default_runs.end()) continue;  // narrowed by MGC_GC
+    VmConfig one = paper_baseline(gc);
+    one.gc_threads = 1;
+    dacapo::HarnessOptions opts;
+    opts.iterations = iterations;
+    opts.system_gc_between_iterations = false;
+    const PauseStats st1(
+        dacapo::run_benchmark(one, "xalan", opts).pause_events);
+    const PauseStats stn(def->second);
+    const double speedup = stn.young_ms.mean() > 0.0
+                               ? st1.young_ms.mean() / stn.young_ms.mean()
+                               : 0.0;
+    auto row = [&](int workers, const PauseStats& st, const std::string& x) {
+      sweep.row({gc_name(gc), std::to_string(workers),
+                 std::to_string(st.young_ms.count()),
+                 Table::num(st.young_ms.mean()), Table::num(st.evac_us.mean(), 1),
+                 Table::num(st.term_us.mean(), 1),
+                 Table::num(st.steals.mean(), 1), x});
+    };
+    row(1, st1, "");
+    row(paper_baseline(gc).effective_gc_threads(), stn,
+        Table::num(speedup, 2));
+    speedups.set(gc_name(gc), Json(speedup));
+  }
+  sweep.print(std::cout);
+  report.add_table(sweep);
+  report.set_config("parallel_speedup", speedups);
+}
+
 }  // namespace
 
 Json make_fig1_report(const BenchArgs& args) {
   BenchReport report("fig1", args);
   const int iterations = args.quick ? 4 : 10;
   report.set_config("iterations", Json(iterations));
+  std::map<GcKind, std::vector<PauseEvent>> nosysgc_runs;
 
   for (const bool system_gc : {true, false}) {
     const std::string mode = system_gc ? "sysgc" : "nosysgc";
@@ -69,7 +120,8 @@ Json make_fig1_report(const BenchArgs& args) {
                   (system_gc ? "on" : "off"));
     summary.header({"GC", "pauses", "full", "max pause (ms)", "avg pause (ms)",
                     "p99 pause (ms)", "roots (us)", "cards (us)", "evac (us)",
-                    "promo-fail", "cms-fail", "evac-fail", "total exec (s)"});
+                    "term (us)", "steals", "promo-fail", "cms-fail",
+                    "evac-fail", "total exec (s)"});
     for (GcKind gc : bench_gc_kinds()) {
       dacapo::HarnessOptions opts;
       opts.iterations = iterations;
@@ -85,6 +137,7 @@ Json make_fig1_report(const BenchArgs& args) {
       print_series(std::cout,
                    std::string(gc_name(gc)) + "/" + mode, pts);
       const PauseStats st(res.pause_events);
+      if (!system_gc) nosysgc_runs.emplace(gc, res.pause_events);
       summary.row({gc_name(gc), std::to_string(res.pauses.pauses),
                    std::to_string(res.pauses.full_pauses),
                    Table::num(res.pauses.max_s * 1e3),
@@ -93,6 +146,8 @@ Json make_fig1_report(const BenchArgs& args) {
                    Table::num(st.roots_us.mean(), 1),
                    Table::num(st.cards_us.mean(), 1),
                    Table::num(st.evac_us.mean(), 1),
+                   Table::num(st.term_us.mean(), 1),
+                   Table::num(st.steals.mean(), 1),
                    std::to_string(st.fails.promotion_failures),
                    std::to_string(st.fails.concurrent_mode_failures),
                    std::to_string(st.fails.evacuation_failures),
@@ -123,6 +178,7 @@ Json make_fig1_report(const BenchArgs& args) {
     summary.print(std::cout);
     report.add_table(summary);
   }
+  add_worker_sweep(report, iterations, nosysgc_runs);
   return report.to_json();
 }
 

@@ -167,6 +167,9 @@ struct G1EvacShared {
   DestAlloc old_alloc;
   std::atomic<std::size_t> copied_bytes{0};
   std::atomic<bool> any_failure{false};
+  std::atomic<std::int64_t> root_scan_ns{0};
+  std::atomic<std::int64_t> rset_scan_ns{0};
+  std::atomic<std::int64_t> evac_drain_ns{0};
   int tenuring;
 
   G1EvacShared(G1Gc& g, int workers) : g1(g), work(workers) {
@@ -225,6 +228,10 @@ struct G1EvacShared {
     d->header().forward.store(nullptr, std::memory_order_relaxed);
     d->header().flags.store(0, std::memory_order_release);
     d->set_num_refs_atomic(o->num_refs());
+    // Record the block before the race is decided: a losing copy stays
+    // behind as a dead cell in the old region, and a card base inside it
+    // must still resolve to a cell start for later remembered-set walks.
+    if (to_old) g1.bot_.record_block(d->start(), d->end());
 
     Obj* winner = o->forward_atomic(d);
     if (winner != d) {
@@ -232,7 +239,6 @@ struct G1EvacShared {
       d->header().flags.store(objflag::kDeadCopy, std::memory_order_release);
       return winner;
     }
-    if (to_old) g1.bot_.record_block(d->start(), d->end());
     wk.copied += bytes;
     work.push(w, d);
     return d;
@@ -262,13 +268,10 @@ struct G1EvacShared {
     for (std::size_t i = 0; i < n; ++i) process_slot(wk, w, xr, x->refs()[i]);
   }
 
+  // Only for cards that wanted_rset_card() accepted at pause start.
   void process_rset_card(EvacWorker& wk, int w, std::size_t card_idx) {
     char* const cb = g1.cards_.card_base(card_idx);
     char* const ce = g1.cards_.card_end(card_idx);
-    Region* src = g1.rm_.region_of(cb);
-    if (!src->is_old_or_humongous()) return;     // stale entry: region recycled
-    if (src->in_cset.load(std::memory_order_relaxed)) return;  // found by tracing
-    if (cb >= src->top()) return;
     Obj* cell = g1.bot_.cell_covering(cb);
     while (cell->start() < ce) {
       Region* cr = g1.rm_.region_of(cell);
@@ -291,6 +294,18 @@ struct G1EvacShared {
     }
   }
 };
+
+// Remembered sets only grow, so a card may name a region that was freed
+// since. Filtering happens here, before the workers start: a region that is
+// free now can become an evacuation destination during the pause, and
+// walking it then would race the worker filling it.
+bool G1Gc::wanted_rset_card(std::uint32_t card_idx) {
+  char* const cb = cards_.card_base(card_idx);
+  Region* src = rm_.region_of(cb);
+  if (!src->is_old_or_humongous()) return false;  // recycled region
+  if (src->in_cset.load(std::memory_order_relaxed)) return false;  // traced
+  return cb < src->top();
+}
 
 PauseOutcome G1Gc::evacuate_pause(GcCause cause, bool initial_mark) {
   vm_.retire_all_tlabs();
@@ -338,7 +353,9 @@ PauseOutcome G1Gc::evacuate_pause(GcCause cause, bool initial_mark) {
   G1EvacShared sh(*this, workers);
   vm_.for_each_root_slot([&](Obj** slot) { sh.root_slots.push_back(slot); });
   for (Region* r : cset) {
-    for (std::uint32_t c : r->rset.snapshot()) sh.rset_cards.push_back(c);
+    for (std::uint32_t c : r->rset.snapshot()) {
+      if (wanted_rset_card(c)) sh.rset_cards.push_back(c);
+    }
   }
 
   ChunkClaimer root_claimer(sh.root_slots.size(), 64);
@@ -352,6 +369,7 @@ PauseOutcome G1Gc::evacuate_pause(GcCause cause, bool initial_mark) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     EvacWorker wk(8 * KiB, &bot_);
+    const std::int64_t w0 = now_ns();
     std::size_t b, e;
     while (root_claimer.claim(&b, &e)) {
       for (std::size_t i = b; i < e; ++i) {
@@ -363,14 +381,20 @@ PauseOutcome G1Gc::evacuate_pause(GcCause cause, bool initial_mark) {
         }
       }
     }
+    const std::int64_t w1 = now_ns();
     while (card_claimer.claim(&b, &e)) {
       for (std::size_t i = b; i < e; ++i)
         sh.process_rset_card(wk, w, sh.rset_cards[i]);
     }
+    const std::int64_t w2 = now_ns();
     sh.work.drain(w, [&](Obj* o) { sh.scan_object(wk, w, o); });
     wk.surv_plab.retire();
     wk.old_plab.retire();
+    const std::int64_t w3 = now_ns();
     sh.copied_bytes.fetch_add(wk.copied, std::memory_order_relaxed);
+    fold_max(sh.root_scan_ns, w1 - w0);
+    fold_max(sh.rset_scan_ns, w2 - w1);
+    fold_max(sh.evac_drain_ns, w3 - w2);
   };
   if (workers == 1) {
     worker_body(0);
@@ -430,6 +454,11 @@ PauseOutcome G1Gc::evacuate_pause(GcCause cause, bool initial_mark) {
     out.cause = cause;
   }
   out.full = false;
+  out.phases.root_scan_ns = sh.root_scan_ns.load(std::memory_order_relaxed);
+  out.phases.card_scan_ns = sh.rset_scan_ns.load(std::memory_order_relaxed);
+  out.phases.evac_drain_ns = sh.evac_drain_ns.load(std::memory_order_relaxed);
+  out.phases.termination_ns = sh.work.max_termination_ns();
+  out.phases.steals = sh.work.steals();
   return out;
 }
 
@@ -922,8 +951,12 @@ void G1Gc::maybe_start_concurrent() {
   // cycle's mixed-collection candidates are still being drained — a new
   // cycle would starve the mixed pauses that actually reclaim old space.
   if (mixed_pending_.load(std::memory_order_acquire)) return;
+  // HotSpot's initiating-occupancy test counts only non-young regions (old
+  // and humongous): eden is emptied by the next young pause anyway, and
+  // counting it would start a cycle every few MB of allocation once the
+  // live data sits just below the threshold.
   const HeapUsage u = usage();
-  if (static_cast<double>(u.used) <
+  if (static_cast<double>(u.old_used) <
       cfg_.g1_ihop * static_cast<double>(u.capacity)) {
     return;
   }

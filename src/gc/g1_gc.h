@@ -92,6 +92,7 @@ class G1Gc final : public Collector {
   void setup_marking_in_pause();
   void abort_cycle_in_pause();
   void handle_failed_region(Region* r);
+  bool wanted_rset_card(std::uint32_t card_idx);
   void purge_refs_into(Region* dying);
   void mark_old_target(Obj* t);
   void scan_card_for_marks(std::size_t card_idx);

@@ -9,6 +9,7 @@
 
 #include "gc/parallel_work.h"
 #include "gc/plab.h"
+#include "heap/poison.h"
 #include "runtime/vm.h"
 #include "support/clock.h"
 #include "support/fault.h"
@@ -164,10 +165,25 @@ void scan_object(Shared& sh, Worker& wk, int w, Obj* x) {
   }
 }
 
+// A card is cleared by the worker that scans it, while other workers may
+// promote onto it and dirty it for the promoted object's old->young slots.
+// Were the clear to land after such a dirty, the mark would be lost. Two
+// rules keep that from happening:
+//  * Contiguous old generation: the scanned window ends at the pre-pause
+//    top, which pad_old_top_to_card() moved to a card boundary, so no
+//    promotion lands on a scanned card at all.
+//  * CMS free-list old generation: promotion does land on scanned cards,
+//    but the scanning walk runs to the card end over every cell, promoted
+//    ones included. The fence orders this worker's clear before its walk:
+//    either the walk sees the promoted object (the copy protocol shows it
+//    as a 0-ref cell or fully copied) and re-dirties the card for its young
+//    slots itself, or the promoting worker's writes, and so its dirty,
+//    come after the clear.
 void process_card(Shared& sh, Worker& wk, int w, std::size_t card_idx) {
   CardTable& cards = sh.heap.cards();
   if (sh.cfg.mod_union != nullptr) sh.cfg.mod_union->record(card_idx);
   cards.clear_index(card_idx);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   char* const card_base = cards.card_base(card_idx);
   char* const card_end = cards.card_end(card_idx);
   if (card_base >= sh.old_parsable_limit) return;
@@ -218,6 +234,26 @@ void scan_root_chunk(Shared& sh, Worker& wk, int w, std::size_t b,
   }
 }
 
+// Fills the old generation from its top to the next card boundary (or to
+// its end, if that comes first) with a filler, so the card holding the
+// pre-pause top is not both scanned and promoted into; see process_card.
+void pad_old_top_to_card(ClassicHeap& heap) {
+  CardTable& cards = heap.cards();
+  char* const top = heap.old_space().top();
+  const std::size_t idx = cards.index_of(top);
+  if (cards.card_base(idx) == top) return;
+  const std::size_t gap = std::min(
+      static_cast<std::size_t>(cards.card_end(idx) - top),
+      heap.old_space().free_bytes());
+  if (gap == 0) return;
+  char* const p = heap.old_alloc(gap);
+  MGC_CHECK(p == top);
+  Obj::init_filler(p, gap / kWordSize);
+  // Dead memory, like a retired PLAB tail: only the header stays readable.
+  poison::zap_and_poison(p + sizeof(ObjHeader), gap - sizeof(ObjHeader),
+                         poison::kLabTailZap);
+}
+
 }  // namespace
 
 ScavengeResult scavenge(const ScavengeConfig& cfg) {
@@ -229,6 +265,7 @@ ScavengeResult scavenge(const ScavengeConfig& cfg) {
   ClassicHeap& heap = *cfg.heap;
   vm.retire_all_tlabs();
 
+  if (!heap.free_list_old()) pad_old_top_to_card(heap);
   Shared sh(cfg);
   sh.old_parsable_limit =
       heap.free_list_old() ? heap.old_end() : heap.old_space().top();
@@ -310,6 +347,8 @@ ScavengeResult scavenge(const ScavengeConfig& cfg) {
   res.phases.root_scan_ns = sh.root_scan_ns.load(std::memory_order_relaxed);
   res.phases.card_scan_ns = sh.card_scan_ns.load(std::memory_order_relaxed);
   res.phases.evac_drain_ns = sh.evac_drain_ns.load(std::memory_order_relaxed);
+  res.phases.termination_ns = sh.work.max_termination_ns();
+  res.phases.steals = sh.work.steals();
 
   if (!res.promotion_failed) {
     heap.eden().reset();

@@ -42,10 +42,14 @@ void GcLog::add(const PauseEvent& e) {
                  gc_cause_name(e.cause), e.duration_ms(), e.used_before / 1024,
                  e.used_after / 1024);
     if (e.phases.any()) {
-      std::fprintf(stderr, " [roots %.0fus cards %.0fus evac %.0fus]",
+      std::fprintf(stderr,
+                   " [roots %.0fus cards %.0fus evac %.0fus term %.0fus"
+                   " steals %llu]",
                    static_cast<double>(e.phases.root_scan_ns) / 1e3,
                    static_cast<double>(e.phases.card_scan_ns) / 1e3,
-                   static_cast<double>(e.phases.evac_drain_ns) / 1e3);
+                   static_cast<double>(e.phases.evac_drain_ns) / 1e3,
+                   static_cast<double>(e.phases.termination_ns) / 1e3,
+                   static_cast<unsigned long long>(e.phases.steals));
     }
     if (e.failures.any()) {
       std::fprintf(stderr, " [promo-fail %u cms-fail %u evac-fail %u]",

@@ -36,14 +36,19 @@ enum class GcCause {
 const char* pause_kind_name(PauseKind k);
 const char* gc_cause_name(GcCause c);
 
-// Per-phase breakdown of a young-collection pause. Each figure is the
-// *critical path* of that phase: the maximum across the parallel GC
-// workers, since the pause cannot end before its slowest worker. Zero for
-// pauses that have no scavenge (full GCs, G1 pauses, remark, ...).
+// Per-phase breakdown of an evacuating pause (classic scavenge, G1 young,
+// mixed and initial-mark pauses). Each time is the *critical path* of that
+// phase: the maximum across the parallel GC workers, since the pause
+// cannot end before its slowest worker. Zero for pauses that evacuate
+// nothing (full GCs, remark, cleanup, ...).
 struct GcPhaseBreakdown {
   std::int64_t root_scan_ns = 0;   // claiming + evacuating root slots
-  std::int64_t card_scan_ns = 0;   // striped dirty-card discovery + scan
+  std::int64_t card_scan_ns = 0;   // dirty-card (G1: remembered-set card) scan
   std::int64_t evac_drain_ns = 0;  // transitive copy via the work-stealing deques
+  // Part of evac_drain_ns spent idle in offer-termination, waiting for
+  // work or for the other workers to go idle (max across workers).
+  std::int64_t termination_ns = 0;
+  std::uint64_t steals = 0;  // successful steals, summed over the workers
 
   bool any() const {
     return (root_scan_ns | card_scan_ns | evac_drain_ns) != 0;

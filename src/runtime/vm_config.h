@@ -46,7 +46,10 @@ struct VmConfig {
 
   // G1.
   std::size_t g1_region_bytes = 256 * KiB;
-  double g1_ihop = 0.45;           // heap occupancy starting a mark cycle
+  // Initiating heap occupancy: a marking cycle starts once old + humongous
+  // regions fill this share of the heap (eden does not count, as in
+  // HotSpot's need_to_start_conc_mark).
+  double g1_ihop = 0.45;
   double g1_pause_target_ms = 5.0; // scaled analogue of -XX:MaxGCPauseMillis
   double g1_mixed_garbage_threshold = 0.15;  // skip old regions with less garbage
 

@@ -21,8 +21,9 @@ GcWorkerPool::~GcWorkerPool() {
 }
 
 void GcWorkerPool::run(int workers, const std::function<void(int)>& fn) {
-  if (workers > size()) workers = size();
-  MGC_CHECK(workers >= 1);
+  // No clamping: a parallel phase hands out one work-stealing deque per
+  // worker id and ends only when every id has run (offer-termination).
+  MGC_CHECK(workers >= 1 && workers <= size());
   MutexLock g(mu_);
   MGC_CHECK_MSG(task_ == nullptr, "GcWorkerPool::run is not reentrant");
   task_ = &fn;

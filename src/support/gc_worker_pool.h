@@ -24,7 +24,7 @@ class GcWorkerPool {
 
   int size() const { return static_cast<int>(threads_.size()); }
 
-  // Runs `fn(worker_id)` on `workers` workers (clamped to pool size) and
+  // Runs `fn(worker_id)` on `workers` workers (at most the pool size) and
   // blocks until all complete. Only one run() may be active at a time;
   // collections are serialized by the VM thread so this is not limiting.
   void run(int workers, const std::function<void(int)>& fn);

@@ -78,16 +78,4 @@ class MGC_SCOPED_CAPABILITY SpinLockGuard {
   SpinLock& l_;
 };
 
-// Exponential backoff helper for CAS retry loops.
-class Backoff {
- public:
-  void pause() {
-    for (int i = 0; i < spins_; ++i) cpu_relax();
-    if (spins_ < 4096) spins_ <<= 1;
-  }
-
- private:
-  int spins_ = 1;
-};
-
 }  // namespace mgc

@@ -18,8 +18,10 @@
 
 namespace mgc {
 
+// Cache-line aligned: each GC worker owns one deque, and two deques
+// sharing a line would make every owner push/pop contend with a neighbour.
 template <typename T>
-class WsDeque {
+class alignas(64) WsDeque {
   static_assert(std::is_trivially_copyable_v<T>,
                 "WsDeque elements are copied with relaxed atomicity");
 

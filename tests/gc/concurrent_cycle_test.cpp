@@ -98,6 +98,11 @@ TEST(G1Cycle, ConcurrentCycleAndMixedCollections) {
   cfg.g1_region_bytes = 128 * KiB;
   cfg.gc_threads = 4;
   cfg.g1_ihop = 0.10;
+  // Marking starts once old + humongous occupancy crosses IHOP, and the
+  // window's values die long before the default tenuring age: promote
+  // every survivor at its first young pause so the retired values pile
+  // up as old garbage.
+  cfg.tenuring_threshold = 0;
   Vm vm(cfg);
   const std::size_t root = vm.create_global_root();
   {

@@ -86,6 +86,64 @@ TEST(G1, MixedCollectionsReclaimOldGarbage) {
   for (const auto& p : rep.problems) ADD_FAILURE() << p;
 }
 
+std::size_t pauses_of_kind(const Vm& vm, PauseKind kind) {
+  std::size_t n = 0;
+  for (const PauseEvent& e : vm.gc_log().snapshot()) n += e.kind == kind;
+  return n;
+}
+
+// HotSpot's initiating-occupancy test counts old and humongous regions
+// only: eden far above the threshold is emptied by the next young pause
+// and must not start a marking cycle.
+TEST(G1Ihop, EdenOnlyOccupancyAboveIhopStartsNoCycle) {
+  VmConfig cfg = g1_config(16, 8);
+  cfg.g1_ihop = 0.10;
+  Vm vm(cfg);
+  auto& g1 = static_cast<G1Gc&>(vm.collector());
+  const double threshold =
+      cfg.g1_ihop * static_cast<double>(g1.usage().capacity);
+  Vm::MutatorScope scope(vm, "t");
+  Mutator& m = scope.mutator();
+  std::size_t peak_young = 0;
+  for (int i = 0; i < 200000; ++i) {
+    Local junk(m, m.alloc(1, 12));
+    if (i % 512 == 0) {
+      peak_young = std::max(peak_young, g1.usage().young_used);
+    }
+  }
+  ASSERT_GT(static_cast<double>(peak_young), threshold)
+      << "eden never crossed the threshold; the test proves nothing";
+  EXPECT_LT(static_cast<double>(g1.usage().old_used), threshold);
+  EXPECT_GT(pauses_of_kind(vm, PauseKind::kYoungGc), 0u);
+  EXPECT_EQ(pauses_of_kind(vm, PauseKind::kInitialMark), 0u);
+  EXPECT_EQ(g1.cycles_completed(), 0u);
+}
+
+TEST(G1Ihop, OldOccupancyAboveIhopStartsACycle) {
+  VmConfig cfg = g1_config(16, 2);
+  cfg.g1_ihop = 0.10;
+  Vm vm(cfg);
+  auto& g1 = static_cast<G1Gc&>(vm.collector());
+  const double threshold =
+      cfg.g1_ihop * static_cast<double>(g1.usage().capacity);
+  Vm::MutatorScope scope(vm, "t");
+  Mutator& m = scope.mutator();
+  // ~3 MB of 1 KB nodes, compacted into old regions by a full collection.
+  Local keep(m, managed::ref_array::create(m, 3000));
+  for (std::size_t i = 0; i < 3000; ++i) {
+    Local node(m, m.alloc(0, 126));
+    managed::ref_array::set(m, keep.get(), i, node.get());
+  }
+  m.system_gc();
+  ASSERT_GT(static_cast<double>(g1.usage().old_used), threshold);
+  // Allocation slow paths now see the old generation above the threshold.
+  for (int i = 0; i < 400000 && g1.cycles_completed() == 0; ++i) {
+    Local junk(m, m.alloc(1, 12));
+  }
+  EXPECT_GE(pauses_of_kind(vm, PauseKind::kInitialMark), 1u);
+  EXPECT_GE(g1.cycles_completed(), 1u) << "no marking cycle completed";
+}
+
 TEST(G1, EvacuationFailureRecoversAndHeapStaysSound) {
   // Tiny heap + big live set => evacuation failures (or full-GC
   // escalations) are certain.
