@@ -7,47 +7,32 @@
 
 namespace mgc {
 namespace {
-constexpr std::size_t kMarkBatch = 128;
 constexpr std::size_t kSweepBatch = 256;
 }  // namespace
 
 CmsGc::CmsGc(Vm& vm, const VmConfig& cfg)
     : ClassicCollector(vm, cfg, /*free_list_old=*/true,
                        /*young_workers=*/cfg.effective_gc_threads(),
-                       /*full_workers=*/1) {
+                       /*full_workers=*/1),
+      cycle_(vm.safepoints(), vm.cost_counters(),
+             [this] { maybe_inject_concurrent_failure(); }) {
   mod_union_.initialize(heap_.cards().num_cards());
 }
 
-CmsGc::~CmsGc() {
-  // stop_background() must already have run (Vm's destructor order).
-  MGC_CHECK(!bg_.joinable());
-}
-
 void CmsGc::start_background() {
-  bg_ = std::thread([this] { bg_main(); });
+  cycle_.launch([this] { run_cycle(); });
 }
 
-void CmsGc::stop_background() {
-  {
-    MutexLock g(bg_mu_);
-    bg_stop_ = true;
-  }
-  bg_cv_.notify_all();
-  if (bg_.joinable()) bg_.join();
-}
+void CmsGc::stop_background() { cycle_.stop(); }
 
 void CmsGc::maybe_start_concurrent() {
-  if (cycle_active_.load(std::memory_order_acquire)) return;
+  if (cycle_.active()) return;
   if (heap_.cms_old().occupancy() < cfg_.cms_trigger_occupancy) return;
-  {
-    MutexLock g(bg_mu_);
-    cycle_requested_ = true;
-  }
-  bg_cv_.notify_all();
+  cycle_.request();
 }
 
 void CmsGc::fill_scavenge_hooks(ScavengeConfig& sc) {
-  if (cycle_active_.load(std::memory_order_acquire)) {
+  if (cycle_.active()) {
     sc.mod_union = &mod_union_;
     sc.allocate_black = true;
     sc.promoted_list = &promoted_;
@@ -57,16 +42,14 @@ void CmsGc::fill_scavenge_hooks(ScavengeConfig& sc) {
 void CmsGc::before_full_compact() {
   // Inside a pause: abort any concurrent cycle; the compaction rebuilds the
   // free-list space and drops all cycle state.
-  if (!cycle_active_.load(std::memory_order_relaxed)) return;
-  abort_cycle_.store(true, std::memory_order_release);
+  if (!cycle_.active()) return;
+  cycle_.abort();
   if (heap_.cms_old().sweep_in_progress()) heap_.cms_old().abort_sweep();
   heap_.cms_old().set_allocate_black(false);
-  cycle_active_.store(false, std::memory_order_release);
 }
 
 GcCause CmsGc::escalate_cause(GcCause cause) {
-  if (cause == GcCause::kPromotionFailure &&
-      cycle_active_.load(std::memory_order_acquire)) {
+  if (cause == GcCause::kPromotionFailure && cycle_.active()) {
     cm_failures_.fetch_add(1, std::memory_order_acq_rel);
     return GcCause::kConcurrentModeFailure;
   }
@@ -75,7 +58,7 @@ GcCause CmsGc::escalate_cause(GcCause cause) {
 
 void CmsGc::mark_old_target(Obj* t) {
   if (t != nullptr && heap_.in_old(t) && heap_.cms_bits().try_mark(t)) {
-    mark_stack_.push_back(t);
+    cycle_.push(t);
   }
 }
 
@@ -86,7 +69,8 @@ void CmsGc::scan_cell_refs(Obj* cell) {
   }
 }
 
-void CmsGc::scan_young_cells() {
+void CmsGc::mark_roots_and_young() {
+  vm_.for_each_root_slot([&](Obj** slot) { mark_old_target(*slot); });
   auto scan_space = [&](ContiguousSpace& s) {
     s.walk([&](Obj* cell) {
       if (!cell->is_free_chunk()) scan_cell_refs(cell);
@@ -102,13 +86,9 @@ PauseOutcome CmsGc::do_initial_mark() {
   heap_.cms_bits().clear_all();
   mod_union_.clear();
   promoted_.clear();
-  mark_stack_.clear();
-  abort_cycle_.store(false, std::memory_order_release);
+  cycle_.begin();
   heap_.cms_old().set_allocate_black(true);
-  cycle_active_.store(true, std::memory_order_release);
-
-  vm_.for_each_root_slot([&](Obj** slot) { mark_old_target(*slot); });
-  scan_young_cells();
+  mark_roots_and_young();
 
   PauseOutcome out;
   out.kind = PauseKind::kInitialMark;
@@ -116,37 +96,13 @@ PauseOutcome CmsGc::do_initial_mark() {
   return out;
 }
 
-void CmsGc::drain_mark_stack() {
-  while (!mark_stack_.empty()) {
-    Obj* o = mark_stack_.back();
-    mark_stack_.pop_back();
-    scan_cell_refs(o);
-  }
-}
-
-
 void CmsGc::scan_card_for_marks(std::size_t card_idx) {
-  CardTable& cards = heap_.cards();
-  char* const card_base = cards.card_base(card_idx);
-  char* const card_end = cards.card_end(card_idx);
-  Obj* cell = heap_.old_bot().cell_covering(card_base);
-  while (cell->start() < card_end && cell->start() < heap_.old_end()) {
-    if (!cell->is_free_chunk() && cell->num_refs() > 0) {
-      char* const slots_begin = cell->start() + sizeof(ObjHeader);
-      std::size_t i0 = 0;
-      if (card_base > slots_begin) {
-        i0 = static_cast<std::size_t>(card_base - slots_begin + kWordSize - 1) /
-             kWordSize;
-      }
-      const std::size_t nrefs = cell->num_refs();
-      for (std::size_t i = i0; i < nrefs; ++i) {
-        char* const slot_addr = slots_begin + i * sizeof(RefSlot);
-        if (slot_addr >= card_end) break;
-        mark_old_target(cell->refs()[i].load(std::memory_order_acquire));
-      }
-    }
-    cell = cell->next_in_space();
-  }
+  for_each_slot_on_card(
+      heap_.old_bot(), heap_.cards(), card_idx,
+      [&](const char*) { return heap_.old_end(); },
+      [&](Obj*, RefSlot& slot) {
+        mark_old_target(slot.load(std::memory_order_acquire));
+      });
 }
 
 bool CmsGc::concurrent_preclean() {
@@ -159,9 +115,7 @@ bool CmsGc::concurrent_preclean() {
   const std::size_t first = cards.index_of(heap_.old_base());
   const std::size_t last = cards.index_of(heap_.old_end() - 1) + 1;
   for (std::size_t blk = first; blk < last; blk += kBlockCards) {
-    vm_.safepoints().poll();
-    maybe_inject_concurrent_failure();
-    if (abort_cycle_.load(std::memory_order_acquire)) return false;
+    if (!cycle_.checkpoint()) return false;
     const std::size_t blk_end = std::min(last, blk + kBlockCards);
     cards.visit_dirty(blk, blk_end, [&](std::size_t idx) {
       // visit_dirty also reports precleaned cards; only dirty ones can
@@ -171,21 +125,17 @@ bool CmsGc::concurrent_preclean() {
       }
     });
     // Keep the stack shallow while precleaning.
-    for (std::size_t i = 0; i < 64 && !mark_stack_.empty(); ++i) {
-      Obj* o = mark_stack_.back();
-      mark_stack_.pop_back();
-      scan_cell_refs(o);
-    }
+    cycle_.drain([this](Obj* o) { scan_cell_refs(o); }, 64);
   }
   return true;
 }
 
 PauseOutcome CmsGc::do_remark() {
-  if (abort_cycle_.load(std::memory_order_acquire)) {
+  if (cycle_.aborted()) {
     // A concurrent mode failure compacted the old generation between the
-    // remark request and this pause: the mark stack and promoted list hold
-    // pre-compaction addresses. Drop them; run_cycle bails right after.
-    mark_stack_.clear();
+    // remark request and this pause (the abort dropped the mark stack): the
+    // promoted list holds pre-compaction addresses. Drop it; run_cycle
+    // bails right after.
     promoted_.clear();
     PauseOutcome out;
     out.skipped = true;
@@ -193,8 +143,7 @@ PauseOutcome CmsGc::do_remark() {
   }
   vm_.retire_all_tlabs();
   // 1. Roots and the whole young generation again.
-  vm_.for_each_root_slot([&](Obj** slot) { mark_old_target(*slot); });
-  scan_young_cells();
+  mark_roots_and_young();
   // 2. Objects promoted into the old generation during the cycle: they may
   //    hold the only reference to an unmarked old object.
   for (Obj* p : promoted_) scan_cell_refs(p);
@@ -221,7 +170,7 @@ PauseOutcome CmsGc::do_remark() {
   });
   mod_union_.clear();
   // 4. Complete the closure.
-  drain_mark_stack();
+  cycle_.drain([this](Obj* o) { scan_cell_refs(o); });
 
   PauseOutcome out;
   out.kind = PauseKind::kRemark;
@@ -229,109 +178,59 @@ PauseOutcome CmsGc::do_remark() {
   return out;
 }
 
-bool CmsGc::maybe_inject_concurrent_failure() {
-  if (!fault::should_fire(fault::Site::kCmsConcurrentFail)) return false;
+void CmsGc::maybe_inject_concurrent_failure() {
+  if (!fault::should_fire(fault::Site::kCmsConcurrentFail)) return;
   vm_.run_vm_op(GcCause::kConcurrentModeFailure, /*caller_is_registered=*/true,
                 [this]() -> PauseOutcome {
                   // The cycle may have been aborted by a real concurrent
                   // mode failure between the fire and this pause.
-                  if (!cycle_active_.load(std::memory_order_relaxed)) {
+                  if (!cycle_.active()) {
                     PauseOutcome out;
                     out.skipped = true;
                     return out;
                   }
                   cm_failures_.fetch_add(1, std::memory_order_acq_rel);
                   // run_full -> before_full_compact aborts this cycle, so
-                  // the concurrent caller bails at its next aborted() check.
+                  // the concurrent caller bails at this checkpoint.
                   PauseOutcome out = run_full(GcCause::kConcurrentModeFailure);
                   out.failures.concurrent_mode_failures = 1;
                   return out;
                 });
-  return true;
-}
-
-void CmsGc::bg_main() {
-  SafepointCoordinator& sp = vm_.safepoints();
-  sp.register_thread();
-  while (true) {
-    {
-      SafepointCoordinator::BlockedScope blocked(sp);
-      MutexLock l(bg_mu_);
-      bg_cv_.wait(l, [&]() MGC_REQUIRES(bg_mu_) { return bg_stop_ || cycle_requested_; });
-      if (bg_stop_) break;
-      cycle_requested_ = false;
-    }
-    GcCostCounters::CycleScope cost(vm_.cost_counters());
-    run_cycle();
-  }
-  sp.unregister_thread();
 }
 
 void CmsGc::run_cycle() {
-  auto aborted = [&] {
-    return abort_cycle_.load(std::memory_order_acquire) ||
-           [&] {
-             MutexLock g(bg_mu_);
-             return bg_stop_;
-           }();
-  };
-
   // Initial mark pause.
   vm_.run_vm_op(GcCause::kOccupancyTrigger, /*caller_is_registered=*/true,
                 [this] { return do_initial_mark(); });
 
   // Concurrent mark: trace the old generation while mutators run.
-  while (true) {
-    vm_.safepoints().poll();
-    maybe_inject_concurrent_failure();
-    if (aborted()) {
-      mark_stack_.clear();
-      return;
-    }
-    if (mark_stack_.empty()) break;
-    for (std::size_t i = 0; i < kMarkBatch && !mark_stack_.empty(); ++i) {
-      Obj* o = mark_stack_.back();
-      mark_stack_.pop_back();
-      scan_cell_refs(o);
-    }
+  if (!cycle_.drain_concurrently([this](Obj* o) { scan_cell_refs(o); })) {
+    return;
   }
 
   // Concurrent precleaning (two passes: the second catches most of the
   // cards dirtied during the first).
   for (int pass = 0; pass < 2; ++pass) {
-    if (!concurrent_preclean()) {
-      mark_stack_.clear();
-      return;
-    }
+    if (!concurrent_preclean()) return;
   }
 
   // Remark pause.
   vm_.run_vm_op(GcCause::kOccupancyTrigger, /*caller_is_registered=*/true,
                 [this] { return do_remark(); });
-  if (aborted()) {
-    mark_stack_.clear();
-    return;
-  }
+  if (cycle_.aborted()) return;
 
   // Concurrent sweep.
   heap_.cms_old().begin_sweep();
-  while (true) {
-    vm_.safepoints().poll();
-    maybe_inject_concurrent_failure();
-    if (aborted()) {
-      if (heap_.cms_old().sweep_in_progress()) heap_.cms_old().abort_sweep();
-      return;
-    }
+  while (cycle_.checkpoint()) {
     std::size_t reclaimed = 0;
     if (!heap_.cms_old().sweep_step(kSweepBatch, &reclaimed)) {
       heap_.cms_old().end_sweep();
-      break;
+      heap_.cms_old().set_allocate_black(false);
+      cycle_.finish();
+      return;
     }
   }
-
-  heap_.cms_old().set_allocate_black(false);
-  cycle_active_.store(false, std::memory_order_release);
-  cycles_.fetch_add(1, std::memory_order_acq_rel);
+  if (heap_.cms_old().sweep_in_progress()) heap_.cms_old().abort_sweep();
 }
 
 }  // namespace mgc

@@ -14,18 +14,16 @@
 // same pause (the long CMS pauses of the paper's Cassandra experiment).
 #pragma once
 
-#include <thread>
 #include <vector>
 
 #include "gc/classic_collector.h"
-#include "support/mutex.h"
+#include "gc/concurrent_cycle.h"
 
 namespace mgc {
 
 class CmsGc final : public ClassicCollector {
  public:
   CmsGc(Vm& vm, const VmConfig& cfg);
-  ~CmsGc() override;
 
   GcKind kind() const override { return GcKind::kCms; }
 
@@ -33,12 +31,8 @@ class CmsGc final : public ClassicCollector {
   void stop_background() override;
   void maybe_start_concurrent() override;
 
-  bool cycle_active() const {
-    return cycle_active_.load(std::memory_order_acquire);
-  }
-  std::uint64_t cycles_completed() const {
-    return cycles_.load(std::memory_order_acquire);
-  }
+  bool cycle_active() const { return cycle_.active(); }
+  std::uint64_t cycles_completed() const { return cycle_.completed(); }
   std::uint64_t concurrent_mode_failures() const {
     return cm_failures_.load(std::memory_order_acquire);
   }
@@ -50,13 +44,13 @@ class CmsGc final : public ClassicCollector {
   GcCause escalate_cause(GcCause cause) override;
 
  private:
-  void bg_main();
   void run_cycle();
   // kCmsConcurrentFail fault site: when armed and fired, runs the serial
   // mark-sweep-compact in a pause exactly as a mid-cycle promotion failure
-  // would, aborting the concurrent cycle. Checked between batches of every
-  // concurrent phase (mark, preclean, sweep). Returns true if it fired.
-  bool maybe_inject_concurrent_failure();
+  // would, aborting the concurrent cycle. The cycle's checkpoint hook, so
+  // checked between batches of every concurrent phase (mark, preclean,
+  // sweep).
+  void maybe_inject_concurrent_failure();
 
   // Pause bodies (run on the VM thread).
   PauseOutcome do_initial_mark();
@@ -65,8 +59,8 @@ class CmsGc final : public ClassicCollector {
   // Pushes t onto the mark stack if it is an unmarked old-gen object.
   void mark_old_target(Obj* t);
   void scan_cell_refs(Obj* cell);
-  void scan_young_cells();
-  void drain_mark_stack();
+  // Marks the old-gen targets of the roots and of every young cell.
+  void mark_roots_and_young();
   // Marks the old-gen targets of every reference slot on one card.
   void scan_card_for_marks(std::size_t card_idx);
   // Concurrent precleaning: scans dirty cards while mutators run so remark
@@ -74,19 +68,10 @@ class CmsGc final : public ClassicCollector {
   // CMSPrecleaningEnabled). Returns false if the cycle was aborted.
   bool concurrent_preclean();
 
-  std::thread bg_;
-  Mutex bg_mu_{LockRank::kGcBackground, "cms-background"};
-  CondVar bg_cv_;
-  bool bg_stop_ MGC_GUARDED_BY(bg_mu_) = false;
-  bool cycle_requested_ MGC_GUARDED_BY(bg_mu_) = false;
-
-  std::atomic<bool> cycle_active_{false};
-  std::atomic<bool> abort_cycle_{false};
+  ConcurrentCycle cycle_;
   ModUnionTable mod_union_;
-  std::vector<Obj*> mark_stack_;
   std::vector<Obj*> promoted_;
 
-  std::atomic<std::uint64_t> cycles_{0};
   std::atomic<std::uint64_t> cm_failures_{0};
 };
 

@@ -1,52 +1,9 @@
 #include "gc/full_compact.h"
 
-#include <cstring>
-
 #include "gc/marking.h"
-#include "heap/poison.h"
-#include "gc/parallel_work.h"
 #include "runtime/vm.h"
 
 namespace mgc {
-namespace {
-
-// Bump allocator over an ordered list of destination ranges (old gen, then
-// eden, then the survivor spaces for pathological live sets).
-class DestinationCursor {
- public:
-  void add_range(char* base, char* end) { ranges_.push_back({base, end}); }
-
-  char* alloc(std::size_t bytes) {
-    while (cur_ < ranges_.size()) {
-      Range& r = ranges_[cur_];
-      if (static_cast<std::size_t>(r.end - r.pos()) >= bytes) {
-        char* p = r.pos();
-        r.used += bytes;
-        return p;
-      }
-      ++cur_;
-    }
-    return nullptr;
-  }
-
-  // Final fill level of range i (== base when untouched).
-  char* level(std::size_t i) const {
-    return ranges_[i].base + ranges_[i].used;
-  }
-  std::size_t range_count() const { return ranges_.size(); }
-
- private:
-  struct Range {
-    char* base;
-    char* end;
-    std::size_t used = 0;
-    char* pos() const { return base + used; }
-  };
-  std::vector<Range> ranges_;
-  std::size_t cur_ = 0;
-};
-
-}  // namespace
 
 FullCompactResult full_compact(const FullCompactConfig& cfg) {
   MGC_CHECK(cfg.vm != nullptr && cfg.heap != nullptr);
@@ -55,8 +12,7 @@ FullCompactResult full_compact(const FullCompactConfig& cfg) {
   vm.retire_all_tlabs();
 
   // Phase 1: mark (parallel for ParallelOld).
-  const MarkStats marked = mark_from_roots(
-      vm, cfg.workers > 1 ? cfg.pool : nullptr, cfg.workers);
+  const MarkStats marked = mark_from_roots(vm, cfg.pool, cfg.workers);
 
   // Phase 2 (serial): assign forwarding addresses in compaction order and
   // collect the live list. Sources: old generation first, then the young
@@ -66,8 +22,8 @@ FullCompactResult full_compact(const FullCompactConfig& cfg) {
   // both are legal overflow targets when a promotion-failure pile-up
   // pushes the live set past old+eden. Only to-space must stay empty — and
   // it always is outside a scavenge (the post-scavenge swap drains it), so
-  // a live set exceeding old+eden+from cannot occur; the cursor check
-  // below is a backstop for that impossible state, not a policy.
+  // a live set exceeding old+eden+from cannot occur; the cursor's check
+  // is a backstop for that impossible state, not a policy.
   //
   // Slide safety with the from-space range: old sources always fit in the
   // old range and eden sources in old+eden (live <= used per space), so
@@ -78,104 +34,38 @@ FullCompactResult full_compact(const FullCompactConfig& cfg) {
   dest.add_range(heap.old_base(), heap.old_end());
   dest.add_range(heap.eden().base(), heap.eden().end());
   dest.add_range(heap.from_space().base(), heap.from_space().end());
-  // The slide writes through these raw ranges, bypassing the space
-  // allocators: past the current tops and (for CMS) through poisoned
-  // free-chunk payloads. Re-admit the destination ranges wholesale; the
-  // phase-5 boundary commit re-zaps whatever ends up dead.
-  poison::unpoison(heap.old_base(),
-                   static_cast<std::size_t>(heap.old_end() - heap.old_base()));
-  poison::unpoison(heap.eden().base(), heap.eden().capacity());
-  poison::unpoison(heap.from_space().base(), heap.from_space().capacity());
 
   std::vector<Obj*> live;
   live.reserve(marked.live_objects);
-  auto forward_cell = [&](Obj* o) {
-    if (!o->is_marked()) return;
-    char* d = dest.alloc(o->size_bytes());
-    MGC_CHECK_MSG(d != nullptr,
-                  "live data exceeds old+eden+from: to-space held objects "
-                  "outside a scavenge");
-    o->set_forward(reinterpret_cast<Obj*>(d));
-    live.push_back(o);
-  };
+  auto forward_cell = [&](Obj* o) { dest.forward(o, live); };
   heap.walk_old(forward_cell);
   heap.eden().walk(forward_cell);
   heap.from_space().walk(forward_cell);
   heap.to_space().walk(forward_cell);
 
-  // Phase 3: update every reference (roots + live objects' slots) to the
-  // forwarding address. Parallel for ParallelOld.
-  std::vector<Obj**> root_slots;
-  vm.for_each_root_slot([&](Obj** slot) { root_slots.push_back(slot); });
-
-  auto update_slot = [](Obj*& target) {
-    if (target != nullptr) {
-      Obj* fwd = target->forwardee();
-      MGC_DCHECK(fwd != nullptr);
-      target = fwd;
-    }
-  };
-  auto update_phase = [&](int /*worker*/, ChunkClaimer& roots,
-                          ChunkClaimer& objs) {
-    std::size_t b, e;
-    while (roots.claim(&b, &e)) {
-      for (std::size_t i = b; i < e; ++i) update_slot(*root_slots[i]);
-    }
-    while (objs.claim(&b, &e)) {
-      for (std::size_t i = b; i < e; ++i) {
-        Obj* o = live[i];
-        const std::size_t n = o->num_refs();
-        for (std::size_t r = 0; r < n; ++r) {
-          Obj* t = o->refs()[r].load(std::memory_order_relaxed);
-          if (t != nullptr) {
-            o->refs()[r].store(t->forwardee(), std::memory_order_relaxed);
-          }
-        }
-      }
-    }
-  };
-  {
-    ChunkClaimer roots(root_slots.size(), 128);
-    ChunkClaimer objs(live.size(), 256);
-    if (cfg.workers > 1) {
-      cfg.pool->run(cfg.workers,
-                    [&](int w) { update_phase(w, roots, objs); });
-    } else {
-      update_phase(0, roots, objs);
-    }
-  }
-
-  // Phase 4 (serial): slide. Processing order == assignment order, so every
-  // destination byte was already vacated (or is below its own source).
+  // Phases 3 and 4: update every reference to its forwarding address
+  // (parallel for ParallelOld), then slide. Re-establish the generational
+  // invariant for survivors that landed in the young spaces: old holders
+  // referencing them need dirty cards.
   CardTable& cards = heap.cards();
   cards.clear_all();
   char* const yb = heap.young_base();
   char* const ye = heap.young_end();
   bool eden_overflow = false;
-  for (Obj* src : live) {
-    auto* d = reinterpret_cast<Obj*>(src->forwardee());
-    const std::size_t bytes = src->size_bytes();
-    if (d != src) std::memmove(d->start(), src->start(), bytes);
-    d->header().forward.store(nullptr, std::memory_order_relaxed);
-    d->clear_mark();
-    const bool d_in_old = heap.in_old(d->start());
-    if (d_in_old) {
-      heap.old_bot().record_block(d->start(), d->end());
-    } else {
+  update_refs_and_slide(vm, live, cfg.pool, cfg.workers, [&](Obj* d) {
+    if (!heap.in_old(d->start())) {
       eden_overflow = true;
+      return;
     }
-    // Re-establish the generational invariant for survivors that landed in
-    // the young spaces: old holders referencing them need dirty cards.
-    if (d_in_old) {
-      const std::size_t n = d->num_refs();
-      for (std::size_t r = 0; r < n; ++r) {
-        Obj* t = d->ref(r);
-        if (t != nullptr && t->start() >= yb && t->start() < ye) {
-          cards.dirty(&d->refs()[r]);
-        }
+    heap.old_bot().record_block(d->start(), d->end());
+    const std::size_t n = d->num_refs();
+    for (std::size_t r = 0; r < n; ++r) {
+      Obj* t = d->ref(r);
+      if (t != nullptr && t->start() >= yb && t->start() < ye) {
+        cards.dirty(&d->refs()[r]);
       }
     }
-  }
+  });
 
   // Phase 5: commit space boundaries.
   char* const old_top = dest.level(0);

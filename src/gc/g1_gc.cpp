@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstring>
 #include <mutex>
 #include <thread>
 
@@ -15,12 +14,10 @@
 #include "support/fault.h"
 
 namespace mgc {
-namespace {
-constexpr std::size_t kMarkBatch = 128;
-}
 
 G1Gc::G1Gc(Vm& vm, const VmConfig& cfg)
-    : vm_(vm), cfg_(cfg), arena_(cfg.heap_bytes) {
+    : vm_(vm), cfg_(cfg), arena_(cfg.heap_bytes),
+      cycle_(vm.safepoints(), vm.cost_counters()) {
   rm_.initialize(arena_.base(), arena_.size(), cfg.g1_region_bytes);
   cards_.initialize(arena_.base(), arena_.size());
   bot_.initialize(arena_.base(), arena_.size());
@@ -28,8 +25,6 @@ G1Gc::G1Gc(Vm& vm, const VmConfig& cfg)
   region_shift_ = static_cast<unsigned>(std::countr_zero(cfg.g1_region_bytes));
   max_young_regions_ = std::max<std::size_t>(2, cfg.young_bytes / cfg.g1_region_bytes);
 }
-
-G1Gc::~G1Gc() { MGC_CHECK(!bg_.joinable()); }
 
 BarrierDescriptor G1Gc::barrier_descriptor() {
   BarrierDescriptor bd;
@@ -186,27 +181,14 @@ struct G1EvacShared {
     if (Obj* f = o->forwardee()) return f;
 
     const std::size_t bytes = o->size_bytes();
-    const std::uint8_t age = o->age();
-    char* dest = nullptr;
     bool to_old = false;
-    // kG1EvacFail forces this object down the to-space-exhausted path
-    // without consuming any destination region.
-    const bool forced_fail = fault::should_fire(fault::Site::kG1EvacFail);
-    if (!forced_fail && age < tenuring) {
-      dest = fault::should_fire(fault::Site::kPlabRefill)
-                 ? nullptr
-                 : wk.surv_plab.alloc_refill(bytes, [&](std::size_t b) {
-                     return surv_alloc.alloc(b);
-                   });
-    }
-    if (!forced_fail && dest == nullptr) {
-      dest = fault::should_fire(fault::Site::kOldAlloc)
-                 ? nullptr
-                 : wk.old_plab.alloc_refill(bytes, [&](std::size_t b) {
-                     return old_alloc.alloc(b);
-                   });
-      to_old = dest != nullptr;
-    }
+    char* const dest = alloc_copy_dest(
+        bytes, o->age() >= tenuring, fault::Site::kG1EvacFail, wk.surv_plab,
+        wk.old_plab,
+        [&](bool old, std::size_t b) {
+          return old ? old_alloc.alloc(b) : surv_alloc.alloc(b);
+        },
+        &to_old);
     if (dest == nullptr) {
       // Evacuation failure: keep in place (self-forward); the region is
       // retained and retyped old after the pause.
@@ -219,26 +201,13 @@ struct G1EvacShared {
       return winner;
     }
 
-    // Same copy protocol as the scavenger: body first, num_refs last.
-    auto* d = reinterpret_cast<Obj*>(dest);
-    std::memcpy(dest + sizeof(ObjHeader), o->start() + sizeof(ObjHeader),
-                bytes - sizeof(ObjHeader));
-    d->set_size_words_atomic(static_cast<std::uint32_t>(bytes / kWordSize));
-    d->header().age = static_cast<std::uint8_t>(age >= 15 ? 15 : age + 1);
-    d->header().forward.store(nullptr, std::memory_order_relaxed);
-    d->header().flags.store(0, std::memory_order_release);
-    d->set_num_refs_atomic(o->num_refs());
     // Record the block before the race is decided: a losing copy stays
     // behind as a dead cell in the old region, and a card base inside it
     // must still resolve to a cell start for later remembered-set walks.
-    if (to_old) g1.bot_.record_block(d->start(), d->end());
-
-    Obj* winner = o->forward_atomic(d);
-    if (winner != d) {
-      d->set_num_refs_atomic(0);
-      d->header().flags.store(objflag::kDeadCopy, std::memory_order_release);
-      return winner;
-    }
+    Obj* const d = copy_and_forward(o, dest, bytes, [&](Obj* c) {
+      if (to_old) g1.bot_.record_block(c->start(), c->end());
+    });
+    if (d != reinterpret_cast<Obj*>(dest)) return d;  // lost the race
     wk.copied += bytes;
     work.push(w, d);
     return d;
@@ -268,30 +237,16 @@ struct G1EvacShared {
     for (std::size_t i = 0; i < n; ++i) process_slot(wk, w, xr, x->refs()[i]);
   }
 
-  // Only for cards that wanted_rset_card() accepted at pause start.
+  // Only for cards that wanted_rset_card() accepted at pause start. Each
+  // cell is parsable up to the top of the region it starts in.
   void process_rset_card(EvacWorker& wk, int w, std::size_t card_idx) {
-    char* const cb = g1.cards_.card_base(card_idx);
-    char* const ce = g1.cards_.card_end(card_idx);
-    Obj* cell = g1.bot_.cell_covering(cb);
-    while (cell->start() < ce) {
-      Region* cr = g1.rm_.region_of(cell);
-      if (cell->start() >= cr->top()) break;
-      if (cell->num_refs() > 0) {
-        char* const slots_begin = cell->start() + sizeof(ObjHeader);
-        std::size_t i0 = 0;
-        if (cb > slots_begin) {
-          i0 = static_cast<std::size_t>(cb - slots_begin + kWordSize - 1) /
-               kWordSize;
-        }
-        Region* cell_region = g1.rm_.region_of(cell);
-        for (std::size_t i = i0; i < cell->num_refs(); ++i) {
-          char* const slot_addr = slots_begin + i * sizeof(RefSlot);
-          if (slot_addr >= ce) break;
-          process_slot(wk, w, cell_region, cell->refs()[i]);
-        }
-      }
-      cell = cell->next_in_space();
-    }
+    RegionManager& rm = g1.rm_;
+    for_each_slot_on_card(
+        g1.bot_, g1.cards_, card_idx,
+        [&](const char* cell) { return rm.region_of(cell)->top(); },
+        [&](Obj* cell, RefSlot& slot) {
+          process_slot(wk, w, rm.region_of(cell), slot);
+        });
   }
 };
 
@@ -320,7 +275,7 @@ PauseOutcome G1Gc::evacuate_pause(GcCause cause, bool initial_mark) {
 
   bool mixed = false;
   if (mixed_pending_.load(std::memory_order_acquire) && !initial_mark &&
-      !cycle_active_.load(std::memory_order_relaxed)) {
+      !cycle_.active()) {
     double budget_s = cfg_.g1_pause_target_ms / 1000.0;
     double est = 0.0;
     for (Region* r : survivor_regions_)
@@ -396,11 +351,7 @@ PauseOutcome G1Gc::evacuate_pause(GcCause cause, bool initial_mark) {
     fold_max(sh.rset_scan_ns, w2 - w1);
     fold_max(sh.evac_drain_ns, w3 - w2);
   };
-  if (workers == 1) {
-    worker_body(0);
-  } else {
-    vm_.workers().run(workers, worker_body);
-  }
+  run_workers(&vm_.workers(), workers, worker_body);
   const std::int64_t t1 = now_ns();
 
   // Dispose of the collection set. Failed regions are fixed up FIRST,
@@ -424,8 +375,7 @@ PauseOutcome G1Gc::evacuate_pause(GcCause cause, bool initial_mark) {
         if (cell->forwardee() == cell) cell->set_forward(nullptr);
       });
     } else {
-      bot_.clear_range(r->base, r->end);
-      rm_.free_region(r);
+      release(r);
     }
   }
   eden_regions_.clear();
@@ -473,29 +423,32 @@ void G1Gc::handle_failed_region(Region* r) {
     const std::size_t n = cell->num_refs();
     for (std::size_t i = 0; i < n; ++i) {
       Obj* t = cell->ref(i);
-      if (t == nullptr) continue;
-      Region* tr = rm_.region_of(t);
-      if (tr->in_cset.load(std::memory_order_acquire)) {
-        Obj* f = t->forwardee();
-        if (f == nullptr) {
-          // Target was never evacuated: it is unreachable (a live holder
-          // would have had it traced), so this cell is dead too. Null the
-          // ref — its region is about to be recycled.
-          cell->set_ref_raw(i, nullptr);
-          continue;
-        }
-        if (f != t) {
-          cell->set_ref_raw(i, f);
-          t = f;
-          tr = rm_.region_of(f);
-        }
+      if (t == nullptr ||
+          !rm_.region_of(t)->in_cset.load(std::memory_order_acquire)) {
+        continue;
       }
-      if (tr != r) {
-        tr->rset.add_card(
-            static_cast<std::uint32_t>(cards_.index_of(&cell->refs()[i])));
-      }
+      // Redirect to the forwardee. A target that was never evacuated has
+      // none: it is unreachable (a live holder would have had it traced),
+      // so this cell is dead too, and the ref is nulled before the
+      // target's region is recycled.
+      cell->set_ref_raw(i, t->forwardee());
     }
+    record_rsets(cell);
   });
+}
+
+void G1Gc::record_rsets(Obj* o) {
+  Region* hr = rm_.region_of(o);
+  const std::size_t n = o->num_refs();
+  for (std::size_t i = 0; i < n; ++i) {
+    Obj* t = o->ref(i);
+    if (t == nullptr) continue;
+    Region* tr = rm_.region_of(t);
+    if (tr != hr) {
+      tr->rset.add_card(
+          static_cast<std::uint32_t>(cards_.index_of(&o->refs()[i])));
+    }
+  }
 }
 
 PauseOutcome G1Gc::collect_young(GcCause cause) {
@@ -509,7 +462,12 @@ void G1Gc::mark_old_target(Obj* t) {
   Region* r = rm_.region_of(t);
   if (!r->is_old_or_humongous()) return;
   if (t->start() >= r->tams()) return;  // implicitly live, fields rescanned at remark
-  if (bits_.try_mark(t)) mark_stack_.push_back(t);
+  if (bits_.try_mark(t)) cycle_.push(t);
+}
+
+void G1Gc::scan_cell_refs(Obj* cell) {
+  const std::size_t n = cell->num_refs();
+  for (std::size_t i = 0; i < n; ++i) mark_old_target(cell->ref(i));
 }
 
 void G1Gc::setup_marking_in_pause() {
@@ -525,11 +483,9 @@ void G1Gc::setup_marking_in_pause() {
     SpinLockGuard g(satb_lock_);
     satb_buffer_.clear();
   }
-  mark_stack_.clear();
-  abort_cycle_.store(false, std::memory_order_release);
+  cycle_.begin();
   vm_.for_each_root_slot([&](Obj** slot) { mark_old_target(*slot); });
   satb_active_.store(true, std::memory_order_release);
-  cycle_active_.store(true, std::memory_order_release);
 }
 
 PauseOutcome G1Gc::do_remark() {
@@ -544,35 +500,17 @@ PauseOutcome G1Gc::do_remark() {
   vm_.for_each_root_slot([&](Obj** slot) { mark_old_target(*slot); });
   // 3. Young regions (objects allocated or kept during the cycle).
   rm_.for_each_region([&](Region& r) {
-    if (r.is_young()) {
-      r.walk([&](Obj* cell) {
-        const std::size_t n = cell->num_refs();
-        for (std::size_t i = 0; i < n; ++i) mark_old_target(cell->ref(i));
-      });
-    }
+    if (r.is_young()) r.walk([&](Obj* cell) { scan_cell_refs(cell); });
   });
   // 4. Above-TAMS allocations in old regions (promotions, retyped failed
   //    regions): implicitly live, but their fields must be traced.
   rm_.for_each_region([&](Region& r) {
     if (r.type() != RegionType::kOld) return;
-    char* cur = r.tams();
-    char* const top = r.top();
-    while (cur < top) {
-      auto* cell = reinterpret_cast<Obj*>(cur);
-      const std::size_t n = cell->num_refs();
-      for (std::size_t i = 0; i < n; ++i) mark_old_target(cell->ref(i));
-      cur = cell->end();
-    }
+    for_each_cell(r.tams(), r.top(),
+                  [this](Obj* cell) { scan_cell_refs(cell); });
   });
   // 5. Complete the closure.
-  while (!mark_stack_.empty()) {
-    Obj* o = mark_stack_.back();
-    mark_stack_.pop_back();
-    const std::size_t n = o->num_refs();
-    for (std::size_t i = 0; i < n; ++i) {
-      mark_old_target(o->refs()[i].load(std::memory_order_acquire));
-    }
-  }
+  cycle_.drain([this](Obj* o) { scan_cell_refs(o); });
   satb_active_.store(false, std::memory_order_release);
 
   PauseOutcome out;
@@ -602,18 +540,24 @@ void G1Gc::purge_refs_into(Region* dying) {
   }
 }
 
+void G1Gc::release(Region* r) {
+  const std::size_t n =
+      r->type() == RegionType::kHumongousHead ? rm_.humongous_span(*r) : 1;
+  bot_.clear_range(r->base, r->base + n * rm_.region_bytes());
+  for (std::size_t i = r->index; i < r->index + n; ++i) {
+    rm_.free_region(&rm_.region_at(i));
+  }
+}
+
 PauseOutcome G1Gc::do_cleanup() {
   std::vector<Region*> to_free;
   rm_.for_each_region([&](Region& r) {
     if (r.type() == RegionType::kOld) {
       std::size_t live = 0;
-      char* cur = r.base;
       char* const tams = r.tams();
-      while (cur < tams) {
-        auto* cell = reinterpret_cast<Obj*>(cur);
+      for_each_cell(r.base, tams, [&](Obj* cell) {
         if (bits_.is_marked(cell)) live += cell->size_bytes();
-        cur = cell->end();
-      }
+      });
       live += static_cast<std::size_t>(r.top() - tams);
       r.live_bytes.store(live, std::memory_order_release);
       if (live == 0 && r.used() > 0) to_free.push_back(&r);
@@ -626,25 +570,7 @@ PauseOutcome G1Gc::do_cleanup() {
 
   for (Region* r : to_free) {
     purge_refs_into(r);
-    if (r->type() == RegionType::kHumongousHead) {
-      // Free the head and all continuation regions.
-      std::size_t i = r->index;
-      bot_.clear_range(r->base, r->end);
-      Region* head = r;
-      rm_.free_region(head);
-      for (++i; i < rm_.num_regions(); ++i) {
-        Region& c = rm_.region_at(i);
-        if (c.type() != RegionType::kHumongousCont ||
-            c.humongous_head != head) {
-          break;
-        }
-        bot_.clear_range(c.base, c.end);
-        rm_.free_region(&c);
-      }
-    } else {
-      bot_.clear_range(r->base, r->end);
-      rm_.free_region(r);
-    }
+    release(r);
   }
 
   // Mixed collection candidates: most garbage first.
@@ -669,8 +595,7 @@ PauseOutcome G1Gc::do_cleanup() {
                      rb.used() - rb.live_bytes.load(std::memory_order_relaxed);
             });
   mixed_pending_.store(!mixed_candidates_.empty(), std::memory_order_release);
-  cycle_active_.store(false, std::memory_order_release);
-  cycles_.fetch_add(1, std::memory_order_acq_rel);
+  cycle_.finish();
 
   PauseOutcome out;
   out.kind = PauseKind::kCleanup;
@@ -680,63 +605,16 @@ PauseOutcome G1Gc::do_cleanup() {
 
 // --- full collection (serial, as in OpenJDK8) ------------------------------------
 
-namespace {
-
-// Region-aware sliding destination cursor for the full compaction.
-class RegionDest {
- public:
-  RegionDest(RegionManager& rm, const std::vector<bool>& skip)
-      : rm_(rm), skip_(skip) {}
-
-  char* alloc(std::size_t bytes) {
-    while (true) {
-      if (cur_ != nullptr &&
-          static_cast<std::size_t>(cur_->end - pos_) >= bytes) {
-        char* p = pos_;
-        pos_ += bytes;
-        return p;
-      }
-      if (cur_ != nullptr) fills_.emplace_back(cur_, pos_);
-      cur_ = nullptr;
-      while (next_ < rm_.num_regions() && skip_[next_]) ++next_;
-      if (next_ >= rm_.num_regions()) return nullptr;
-      cur_ = &rm_.region_at(next_++);
-      pos_ = cur_->base;
-    }
-  }
-
-  void finish() {
-    if (cur_ != nullptr) fills_.emplace_back(cur_, pos_);
-    cur_ = nullptr;
-  }
-
-  const std::vector<std::pair<Region*, char*>>& fills() const {
-    return fills_;
-  }
-
- private:
-  RegionManager& rm_;
-  const std::vector<bool>& skip_;
-  Region* cur_ = nullptr;
-  char* pos_ = nullptr;
-  std::size_t next_ = 0;
-  std::vector<std::pair<Region*, char*>> fills_;
-};
-
-}  // namespace
-
-void G1Gc::abort_cycle_in_pause() {
+PauseOutcome G1Gc::collect_full(GcCause cause) {
+  // Abandon any marking cycle and its mixed candidates.
   satb_active_.store(false, std::memory_order_release);
-  cycle_active_.store(false, std::memory_order_release);
-  abort_cycle_.store(true, std::memory_order_release);
+  cycle_.abort();
   mixed_pending_.store(false, std::memory_order_release);
   mixed_candidates_.clear();
-  SpinLockGuard g(satb_lock_);
-  satb_buffer_.clear();
-}
-
-PauseOutcome G1Gc::full_gc(GcCause cause) {
-  abort_cycle_in_pause();
+  {
+    SpinLockGuard g(satb_lock_);
+    satb_buffer_.clear();
+  }
   vm_.retire_all_tlabs();
   mutator_region_ = nullptr;
 
@@ -744,97 +622,61 @@ PauseOutcome G1Gc::full_gc(GcCause cause) {
   // the slowest in the study, as in OpenJDK8).
   mark_from_roots(vm_, nullptr, 1);
 
-  // Free dead humongous objects outright; live ones are pinned in place.
+  // Free dead humongous objects outright; live ones are pinned in place:
+  // forwarded to themselves, they join the live list for the reference
+  // update and the slide.
   std::vector<bool> skip(rm_.num_regions(), false);
   std::vector<Obj*> live;
   for (std::size_t i = 0; i < rm_.num_regions(); ++i) {
     Region& r = rm_.region_at(i);
     if (r.type() != RegionType::kHumongousHead) continue;
     auto* h = reinterpret_cast<Obj*>(r.base);
-    Region* head = &r;
-    if (h->is_marked()) {
-      h->set_forward(h);  // pinned: moves to itself
-      live.push_back(h);  // header fixup + ref update with the others
-      skip[i] = true;
-      for (std::size_t j = i + 1; j < rm_.num_regions(); ++j) {
-        Region& c = rm_.region_at(j);
-        if (c.type() != RegionType::kHumongousCont || c.humongous_head != head)
-          break;
-        skip[j] = true;
-      }
-    } else {
-      bot_.clear_range(r.base, r.end);
-      rm_.free_region(head);
-      for (std::size_t j = i + 1; j < rm_.num_regions(); ++j) {
-        Region& c = rm_.region_at(j);
-        if (c.type() != RegionType::kHumongousCont || c.humongous_head != head)
-          break;
-        bot_.clear_range(c.base, c.end);
-        rm_.free_region(&c);
-      }
+    if (!h->is_marked()) {
+      release(&r);
+      continue;
     }
+    h->set_forward(h);
+    live.push_back(h);
+    const std::size_t n = rm_.humongous_span(r);
+    std::fill_n(skip.begin() + static_cast<std::ptrdiff_t>(i), n, true);
   }
 
   // Phase 2: forwarding addresses, walking every non-humongous region in
   // address order, packing into the same region sequence. The slide bumps
-  // through regions directly — including free (poisoned) ones — so re-admit
-  // the whole heap; rebuild() re-poisons everything that stays free and the
-  // phase-5 fill commit re-zaps the kept regions' dead tails.
-  poison::unpoison(rm_.heap_base(),
-                   static_cast<std::size_t>(rm_.heap_end() - rm_.heap_base()));
-  RegionDest dest(rm_, skip);
-  std::vector<Obj*> moved;
+  // through regions directly — including free (poisoned) ones, which the
+  // cursor re-admits; rebuild() re-poisons everything that stays free and
+  // the phase-5 fill commit re-zaps the kept regions' dead tails.
+  DestinationCursor dest;
+  std::vector<Region*> dest_regions;
+  for (std::size_t i = 0; i < rm_.num_regions(); ++i) {
+    if (skip[i]) continue;
+    Region& r = rm_.region_at(i);
+    dest.add_range(r.base, r.end);
+    dest_regions.push_back(&r);
+  }
   rm_.for_each_region([&](Region& r) {
     if (r.is_free() || r.type() == RegionType::kHumongousHead ||
         r.type() == RegionType::kHumongousCont) {
       return;
     }
-    r.walk([&](Obj* cell) {
-      if (!cell->is_marked()) return;
-      char* d = dest.alloc(cell->size_bytes());
-      MGC_CHECK_MSG(d != nullptr, "OutOfMemory: G1 full GC cannot fit live data");
-      cell->set_forward(reinterpret_cast<Obj*>(d));
-      moved.push_back(cell);
-    });
+    r.walk([&](Obj* cell) { dest.forward(cell, live); });
   });
-  dest.finish();
 
-  // Phase 3: update references (serial).
-  vm_.for_each_root_slot([&](Obj** slot) {
-    if (*slot != nullptr) *slot = (*slot)->forwardee();
-  });
-  auto update_refs = [](Obj* o) {
-    const std::size_t n = o->num_refs();
-    for (std::size_t i = 0; i < n; ++i) {
-      Obj* t = o->refs()[i].load(std::memory_order_relaxed);
-      if (t != nullptr)
-        o->refs()[i].store(t->forwardee(), std::memory_order_relaxed);
-    }
-  };
-  for (Obj* o : moved) update_refs(o);
-  for (Obj* o : live) update_refs(o);
-
-  // Phase 4: move (ascending; dest never overtakes source).
+  // Phases 3 and 4: update references and slide, serially like the rest
+  // of OpenJDK8's G1 full GC.
   bot_.clear();
-  std::vector<Obj*> dests;
-  dests.reserve(moved.size());
-  for (Obj* src : moved) {
-    auto* d = reinterpret_cast<Obj*>(src->forwardee());
-    const std::size_t bytes = src->size_bytes();
-    if (d != src) std::memmove(d->start(), src->start(), bytes);
-    d->header().forward.store(nullptr, std::memory_order_relaxed);
-    d->clear_mark();
+  update_refs_and_slide(vm_, live, nullptr, 1, [&](Obj* d) {
     bot_.record_block(d->start(), d->end());
-    dests.push_back(d);
-  }
-  for (Obj* h : live) {  // pinned humongous
-    h->set_forward(nullptr);
-    h->clear_mark();
-    bot_.record_block(h->start(), h->start() + h->size_bytes());
-  }
+  });
 
-  // Phase 5: region metadata. Filled regions become old; the rest is freed.
-  for (const auto& [region, top] : dest.fills()) {
+  // Phase 5: region metadata. Filled regions become old; the rest, bar
+  // the live humongous ones, is freed.
+  std::vector<bool> keep = skip;
+  for (std::size_t i = 0; i < dest_regions.size(); ++i) {
+    Region* region = dest_regions[i];
+    char* const top = dest.level(i);
+    if (top == region->base) continue;
+    keep[region->index] = true;
     region->set_top(top);
     region->set_type(RegionType::kOld);
     region->set_tams(region->base);
@@ -843,31 +685,10 @@ PauseOutcome G1Gc::full_gc(GcCause cause) {
     poison::zap_and_poison(top, static_cast<std::size_t>(region->end - top),
                            poison::kRegionZap);
   }
-  std::vector<bool> keep(rm_.num_regions(), false);
-  for (const auto& [region, top] : dest.fills()) {
-    if (top > region->base) keep[region->index] = true;
-  }
-  for (std::size_t i = 0; i < rm_.num_regions(); ++i) {
-    if (skip[i]) keep[i] = true;  // live humongous
-  }
   rm_.rebuild([&](Region& r) { return keep[r.index]; });
 
   // Phase 6: rebuild remembered sets from the live graph.
-  auto record_rsets = [&](Obj* o) {
-    Region* hr = rm_.region_of(o);
-    const std::size_t n = o->num_refs();
-    for (std::size_t i = 0; i < n; ++i) {
-      Obj* t = o->ref(i);
-      if (t == nullptr) continue;
-      Region* tr = rm_.region_of(t);
-      if (tr != hr) {
-        tr->rset.add_card(
-            static_cast<std::uint32_t>(cards_.index_of(&o->refs()[i])));
-      }
-    }
-  };
-  for (Obj* d : dests) record_rsets(d);
-  for (Obj* h : live) record_rsets(h);
+  for (Obj* o : live) record_rsets(o);
 
   eden_regions_.clear();
   survivor_regions_.clear();
@@ -879,74 +700,33 @@ PauseOutcome G1Gc::full_gc(GcCause cause) {
   return out;
 }
 
-PauseOutcome G1Gc::collect_full(GcCause cause) { return full_gc(cause); }
-
 // --- background thread ---------------------------------------------------------------
 
 void G1Gc::start_background() {
-  bg_ = std::thread([this] {
-    SafepointCoordinator& sp = vm_.safepoints();
-    sp.register_thread();
-    while (true) {
-      {
-        SafepointCoordinator::BlockedScope blocked(sp);
-        MutexLock l(bg_mu_);
-        bg_cv_.wait(l, [&]() MGC_REQUIRES(bg_mu_) { return bg_stop_ || cycle_requested_; });
-        if (bg_stop_) break;
-        cycle_requested_ = false;
-      }
-      GcCostCounters::CycleScope cost(vm_.cost_counters());
-      // Initial mark piggybacks a young evacuation pause.
-      vm_.run_vm_op(GcCause::kOccupancyTrigger, /*caller_is_registered=*/true,
-                    [this] {
-                      return evacuate_pause(GcCause::kOccupancyTrigger,
-                                            /*initial_mark=*/true);
-                    });
-      // Concurrent mark.
-      bool aborted = false;
-      while (true) {
-        vm_.safepoints().poll();
-        {
-          MutexLock l(bg_mu_);
-          if (bg_stop_) aborted = true;
-        }
-        if (abort_cycle_.load(std::memory_order_acquire)) aborted = true;
-        if (aborted) {
-          mark_stack_.clear();
-          break;
-        }
-        if (mark_stack_.empty()) break;
-        for (std::size_t i = 0; i < kMarkBatch && !mark_stack_.empty(); ++i) {
-          Obj* o = mark_stack_.back();
-          mark_stack_.pop_back();
-          const std::size_t n = o->num_refs();
-          for (std::size_t r = 0; r < n; ++r) {
-            mark_old_target(o->refs()[r].load(std::memory_order_acquire));
-          }
-        }
-      }
-      if (aborted) continue;
-      vm_.run_vm_op(GcCause::kOccupancyTrigger, true,
-                    [this] { return do_remark(); });
-      if (abort_cycle_.load(std::memory_order_acquire)) continue;
-      vm_.run_vm_op(GcCause::kOccupancyTrigger, true,
-                    [this] { return do_cleanup(); });
-    }
-    sp.unregister_thread();
-  });
+  cycle_.launch([this] { run_cycle(); });
 }
 
-void G1Gc::stop_background() {
-  {
-    MutexLock g(bg_mu_);
-    bg_stop_ = true;
+void G1Gc::stop_background() { cycle_.stop(); }
+
+void G1Gc::run_cycle() {
+  // Initial mark piggybacks a young evacuation pause.
+  vm_.run_vm_op(GcCause::kOccupancyTrigger, /*caller_is_registered=*/true,
+                [this] {
+                  return evacuate_pause(GcCause::kOccupancyTrigger,
+                                        /*initial_mark=*/true);
+                });
+  if (!cycle_.drain_concurrently([this](Obj* o) { scan_cell_refs(o); })) {
+    return;
   }
-  bg_cv_.notify_all();
-  if (bg_.joinable()) bg_.join();
+  vm_.run_vm_op(GcCause::kOccupancyTrigger, true,
+                [this] { return do_remark(); });
+  if (cycle_.aborted()) return;
+  vm_.run_vm_op(GcCause::kOccupancyTrigger, true,
+                [this] { return do_cleanup(); });
 }
 
 void G1Gc::maybe_start_concurrent() {
-  if (cycle_active_.load(std::memory_order_acquire)) return;
+  if (cycle_.active()) return;
   // Like HotSpot, don't start a new marking cycle while the previous
   // cycle's mixed-collection candidates are still being drained — a new
   // cycle would starve the mixed pauses that actually reclaim old space.
@@ -960,11 +740,7 @@ void G1Gc::maybe_start_concurrent() {
       cfg_.g1_ihop * static_cast<double>(u.capacity)) {
     return;
   }
-  {
-    MutexLock g(bg_mu_);
-    cycle_requested_ = true;
-  }
-  bg_cv_.notify_all();
+  cycle_.request();
 }
 
 // --- queries -----------------------------------------------------------------------

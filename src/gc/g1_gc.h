@@ -18,9 +18,9 @@
 //                                bounded by the pause-time model
 #pragma once
 
-#include <thread>
 #include <vector>
 
+#include "gc/concurrent_cycle.h"
 #include "heap/arena.h"
 #include "heap/block_offset_table.h"
 #include "heap/card_table.h"
@@ -28,7 +28,6 @@
 #include "heap/region.h"
 #include "runtime/collector.h"
 #include "runtime/vm_config.h"
-#include "support/mutex.h"
 #include "support/spinlock.h"
 
 namespace mgc {
@@ -36,7 +35,6 @@ namespace mgc {
 class G1Gc final : public Collector {
  public:
   G1Gc(Vm& vm, const VmConfig& cfg);
-  ~G1Gc() override;
 
   GcKind kind() const override { return GcKind::kG1; }
 
@@ -64,12 +62,8 @@ class G1Gc final : public Collector {
   // Introspection for tests, benches and the heap verifier.
   RegionManager& regions() { return rm_; }
   CardTable& card_table() { return cards_; }
-  bool cycle_active() const {
-    return cycle_active_.load(std::memory_order_acquire);
-  }
-  std::uint64_t cycles_completed() const {
-    return cycles_.load(std::memory_order_acquire);
-  }
+  bool cycle_active() const { return cycle_.active(); }
+  std::uint64_t cycles_completed() const { return cycle_.completed(); }
   std::uint64_t mixed_pauses() const {
     return mixed_pauses_.load(std::memory_order_acquire);
   }
@@ -86,16 +80,20 @@ class G1Gc final : public Collector {
 
   // Pauses.
   PauseOutcome evacuate_pause(GcCause cause, bool initial_mark);
-  PauseOutcome full_gc(GcCause cause);
+  void run_cycle();
   PauseOutcome do_remark();
   PauseOutcome do_cleanup();
   void setup_marking_in_pause();
-  void abort_cycle_in_pause();
   void handle_failed_region(Region* r);
+  // Adds o's cross-region references to their targets' remembered sets.
+  void record_rsets(Obj* o);
   bool wanted_rset_card(std::uint32_t card_idx);
   void purge_refs_into(Region* dying);
+  // Returns `r` to the free list with its BOT entries cleared; a humongous
+  // head takes its continuation regions with it.
+  void release(Region* r);
   void mark_old_target(Obj* t);
-  void scan_card_for_marks(std::size_t card_idx);
+  void scan_cell_refs(Obj* cell);
 
   Vm& vm_;
   VmConfig cfg_;
@@ -118,14 +116,7 @@ class G1Gc final : public Collector {
   SpinLock satb_lock_{LockRank::kSatb, "g1-satb"};
   std::vector<Obj*> satb_buffer_ MGC_GUARDED_BY(satb_lock_);
 
-  std::thread bg_;
-  Mutex bg_mu_{LockRank::kGcBackground, "g1-background"};
-  CondVar bg_cv_;
-  bool bg_stop_ MGC_GUARDED_BY(bg_mu_) = false;
-  bool cycle_requested_ MGC_GUARDED_BY(bg_mu_) = false;
-  std::atomic<bool> cycle_active_{false};
-  std::atomic<bool> abort_cycle_{false};
-  std::vector<Obj*> mark_stack_;
+  ConcurrentCycle cycle_;
 
   std::vector<std::uint32_t> mixed_candidates_;
   // Read by mutators (maybe_start_concurrent); written inside pauses.
@@ -134,7 +125,6 @@ class G1Gc final : public Collector {
   // Pause-time model: EMA of seconds per evacuated byte.
   double secs_per_byte_ = 2e-9;
 
-  std::atomic<std::uint64_t> cycles_{0};
   std::atomic<std::uint64_t> mixed_pauses_{0};
   std::atomic<std::uint64_t> evac_failures_{0};
 };

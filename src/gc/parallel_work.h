@@ -13,6 +13,7 @@
 
 #include "support/check.h"
 #include "support/clock.h"
+#include "support/gc_worker_pool.h"
 #include "support/spinlock.h"
 #include "support/ws_deque.h"
 
@@ -26,6 +27,19 @@ inline void fold_max(std::atomic<std::int64_t>& slot, std::int64_t value) {
   std::int64_t cur = slot.load(std::memory_order_relaxed);
   while (value > cur &&
          !slot.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
+  }
+}
+
+// Runs body(w) for every worker id w in [0, workers): on the calling thread
+// when serial (`pool` may then be nullptr), on the pool's workers
+// otherwise.
+template <typename Body>
+void run_workers(GcWorkerPool* pool, int workers, Body&& body) {
+  MGC_CHECK(workers >= 1 && (pool != nullptr || workers == 1));
+  if (workers == 1) {
+    body(0);
+  } else {
+    pool->run(workers, body);
   }
 }
 

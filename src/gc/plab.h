@@ -10,12 +10,42 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 
 #include "heap/block_offset_table.h"
 #include "heap/object.h"
 #include "heap/poison.h"
+#include "support/fault.h"
 
 namespace mgc {
+
+// Copies `o` (`bytes` long) to `dest` and races other copiers to install
+// the forwarding pointer; returns the winning copy. The copy protocol keeps
+// concurrent heap walkers safe (CMS card scanning runs while other workers
+// promote): body first, header fields next, num_refs last, so a walker sees
+// either a 0-ref cell of the right size or the whole object. The copy is
+// one age older. before_race(copy) runs once the copy is parsable; a losing
+// copy stays behind as a dead 0-ref filler.
+template <typename BeforeRace>
+Obj* copy_and_forward(Obj* o, char* dest, std::size_t bytes,
+                      BeforeRace before_race) {
+  auto* d = reinterpret_cast<Obj*>(dest);
+  std::memcpy(dest + sizeof(ObjHeader), o->start() + sizeof(ObjHeader),
+              bytes - sizeof(ObjHeader));
+  d->set_size_words_atomic(static_cast<std::uint32_t>(bytes / kWordSize));
+  const std::uint8_t age = o->age();
+  d->header().age = static_cast<std::uint8_t>(age >= 15 ? 15 : age + 1);
+  d->header().forward.store(nullptr, std::memory_order_relaxed);
+  d->header().flags.store(0, std::memory_order_release);
+  d->set_num_refs_atomic(o->num_refs());
+  before_race(d);
+  Obj* winner = o->forward_atomic(d);
+  if (winner != d) {
+    d->set_num_refs_atomic(0);
+    d->header().flags.store(objflag::kDeadCopy, std::memory_order_release);
+  }
+  return winner;
+}
 
 class Plab {
  public:
@@ -86,5 +116,30 @@ class Plab {
   char* top_ = nullptr;
   char* end_ = nullptr;
 };
+
+// Where a copying collector puts a surviving object: the survivor PLAB
+// while the object is younger than the tenuring threshold, else (or on
+// survivor overflow) the old PLAB, each refilled through refill(to_old,
+// bytes). Returns nullptr once both are exhausted, or when the `forced_fail`
+// fault site fires (the deterministic analogue of an exhausted heap, which
+// consumes no destination); kPlabRefill and kOldAlloc fail one side each.
+// *to_old reports the side used.
+template <typename Refill>
+char* alloc_copy_dest(std::size_t bytes, bool tenured, fault::Site forced_fail,
+                      Plab& surv, Plab& old, Refill refill, bool* to_old) {
+  *to_old = false;
+  if (fault::should_fire(forced_fail)) return nullptr;
+  if (!tenured && !fault::should_fire(fault::Site::kPlabRefill)) {
+    if (char* p = surv.alloc_refill(
+            bytes, [&](std::size_t b) { return refill(false, b); })) {
+      return p;
+    }
+  }
+  if (fault::should_fire(fault::Site::kOldAlloc)) return nullptr;
+  char* p =
+      old.alloc_refill(bytes, [&](std::size_t b) { return refill(true, b); });
+  *to_old = p != nullptr;
+  return p;
+}
 
 }  // namespace mgc

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <mutex>
 #include <thread>
 
@@ -74,30 +73,14 @@ Obj* evacuate(Shared& sh, Worker& wk, int w, Obj* o) {
   if (Obj* f = o->forwardee()) return f;
 
   const std::size_t bytes = o->size_bytes();
-  const std::uint8_t age = o->age();
-
-  char* dest_mem = nullptr;
   bool promoted = false;
-  // kPromotionFail forces this object down the failure path without
-  // touching either destination space — the deterministic analogue of a
-  // genuinely exhausted to-space + old generation.
-  const bool forced_fail = fault::should_fire(fault::Site::kPromotionFail);
-  if (!forced_fail && age < sh.cfg.tenuring_threshold) {
-    dest_mem = fault::should_fire(fault::Site::kPlabRefill)
-                   ? nullptr
-                   : wk.to_plab.alloc_refill(bytes, [&](std::size_t b) {
-                       return sh.heap.to_space().par_alloc(b);
-                     });
-  }
-  if (!forced_fail && dest_mem == nullptr) {
-    // Tenured by age, or survivor overflow: promote to the old generation.
-    dest_mem = fault::should_fire(fault::Site::kOldAlloc)
-                   ? nullptr
-                   : wk.old_plab.alloc_refill(bytes, [&](std::size_t b) {
-                       return sh.heap.old_alloc(b);
-                     });
-    promoted = dest_mem != nullptr;
-  }
+  char* const dest_mem = alloc_copy_dest(
+      bytes, o->age() >= sh.cfg.tenuring_threshold,
+      fault::Site::kPromotionFail, wk.to_plab, wk.old_plab,
+      [&](bool old, std::size_t b) {
+        return old ? sh.heap.old_alloc(b) : sh.heap.to_space().par_alloc(b);
+      },
+      &promoted);
   if (dest_mem == nullptr) {
     // Promotion failure: self-forward in place; the caller must run a full
     // collection in this same pause.
@@ -109,26 +92,8 @@ Obj* evacuate(Shared& sh, Worker& wk, int w, Obj* o) {
     return winner;
   }
 
-  // Copy protocol for concurrent heap walkers (CMS old-gen card scanning
-  // runs while other workers promote): body first, header fields next,
-  // num_refs last — a walker sees either a 0-ref cell of the right size or
-  // a fully copied object.
-  auto* dest = reinterpret_cast<Obj*>(dest_mem);
-  std::memcpy(dest_mem + sizeof(ObjHeader), o->start() + sizeof(ObjHeader),
-              bytes - sizeof(ObjHeader));
-  dest->set_size_words_atomic(static_cast<std::uint32_t>(bytes / kWordSize));
-  dest->header().age = static_cast<std::uint8_t>(age >= 15 ? 15 : age + 1);
-  dest->header().forward.store(nullptr, std::memory_order_relaxed);
-  dest->header().flags.store(0, std::memory_order_release);
-  dest->set_num_refs_atomic(o->num_refs());
-
-  Obj* winner = o->forward_atomic(dest);
-  if (winner != dest) {
-    // Another worker copied o first; our duplicate becomes a dead filler.
-    dest->set_num_refs_atomic(0);
-    dest->header().flags.store(objflag::kDeadCopy, std::memory_order_release);
-    return winner;
-  }
+  Obj* const dest = copy_and_forward(o, dest_mem, bytes, [](Obj*) {});
+  if (dest != reinterpret_cast<Obj*>(dest_mem)) return dest;  // lost the race
 
   if (promoted) {
     sh.heap.old_bot().record_block(dest->start(), dest->end());
@@ -142,8 +107,9 @@ Obj* evacuate(Shared& sh, Worker& wk, int w, Obj* o) {
   return dest;
 }
 
-// Processes one reference slot of holder `x` (may be anywhere in the heap).
-inline void process_slot(Shared& sh, Worker& wk, int w, Obj* x, bool x_in_old,
+// Processes one reference slot of a holder that lives in the old generation
+// iff `x_in_old`.
+inline void process_slot(Shared& sh, Worker& wk, int w, bool x_in_old,
                          RefSlot& slot) {
   Obj* t = slot.load(std::memory_order_relaxed);
   if (t == nullptr) return;
@@ -154,14 +120,13 @@ inline void process_slot(Shared& sh, Worker& wk, int w, Obj* x, bool x_in_old,
   // Maintain the generational invariant: any old-gen slot that (still)
   // points into the young generation keeps its card dirty.
   if (x_in_old && sh.heap.in_young(t)) sh.heap.cards().dirty(&slot);
-  (void)x;
 }
 
 void scan_object(Shared& sh, Worker& wk, int w, Obj* x) {
   const bool x_in_old = sh.heap.in_old(x);
   const std::size_t n = x->num_refs();
   for (std::size_t i = 0; i < n; ++i) {
-    process_slot(sh, wk, w, x, x_in_old, x->refs()[i]);
+    process_slot(sh, wk, w, x_in_old, x->refs()[i]);
   }
 }
 
@@ -184,31 +149,12 @@ void process_card(Shared& sh, Worker& wk, int w, std::size_t card_idx) {
   if (sh.cfg.mod_union != nullptr) sh.cfg.mod_union->record(card_idx);
   cards.clear_index(card_idx);
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  char* const card_base = cards.card_base(card_idx);
-  char* const card_end = cards.card_end(card_idx);
-  if (card_base >= sh.old_parsable_limit) return;
-
-  Obj* cell = sh.heap.old_bot().cell_covering(card_base);
-  while (cell->start() < card_end &&
-         cell->start() < sh.old_parsable_limit) {
-    if (!cell->is_free_chunk() && cell->num_refs() > 0) {
-      // Only the slots physically on this card; neighbouring cards own the
-      // rest (this also partitions big objects between workers).
-      char* const slots_begin = cell->start() + sizeof(ObjHeader);
-      const std::size_t nrefs = cell->num_refs();
-      std::size_t i0 = 0;
-      if (card_base > slots_begin) {
-        i0 = static_cast<std::size_t>(card_base - slots_begin + kWordSize - 1) /
-             kWordSize;
-      }
-      for (std::size_t i = i0; i < nrefs; ++i) {
-        char* const slot_addr = slots_begin + i * sizeof(RefSlot);
-        if (slot_addr >= card_end) break;
-        process_slot(sh, wk, w, cell, /*x_in_old=*/true, cell->refs()[i]);
-      }
-    }
-    cell = cell->next_in_space();
-  }
+  for_each_slot_on_card(
+      sh.heap.old_bot(), cards, card_idx,
+      [&](const char*) { return sh.old_parsable_limit; },
+      [&](Obj*, RefSlot& slot) {
+        process_slot(sh, wk, w, /*x_in_old=*/true, slot);
+      });
 }
 
 // Evacuates the root slots in the flattened index range [b, e).
@@ -258,8 +204,6 @@ void pad_old_top_to_card(ClassicHeap& heap) {
 
 ScavengeResult scavenge(const ScavengeConfig& cfg) {
   MGC_CHECK(cfg.vm != nullptr && cfg.heap != nullptr);
-  MGC_CHECK(cfg.workers >= 1);
-  MGC_CHECK(cfg.pool != nullptr || cfg.workers == 1);
 
   Vm& vm = *cfg.vm;
   ClassicHeap& heap = *cfg.heap;
@@ -333,11 +277,7 @@ ScavengeResult scavenge(const ScavengeConfig& cfg) {
     fold_max(sh.evac_drain_ns, t3 - t2);
   };
 
-  if (cfg.workers == 1) {
-    worker_body(0);
-  } else {
-    cfg.pool->run(cfg.workers, worker_body);
-  }
+  run_workers(cfg.pool, cfg.workers, worker_body);
 
   ScavengeResult res;
   res.promotion_failed = sh.promotion_failed.load(std::memory_order_acquire);

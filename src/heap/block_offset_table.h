@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "heap/card_table.h"
 #include "heap/layout.h"
 #include "heap/object.h"
 #include "support/check.h"
@@ -92,5 +93,37 @@ class BlockOffsetTable {
   std::size_t covered_bytes_ = 0;
   std::vector<std::uint32_t> entries_;
 };
+
+// Calls visit(cell, slot) for every reference slot that card `card_idx`
+// owns: the slots physically on the card, whatever cell they belong to. A
+// cell that spans several cards has its slots split between them, so the
+// cards of a range together visit each slot exactly once (and parallel
+// scanners partition big objects for free). The walk starts at the BOT cell
+// covering the card base and ends at the card end, or at the first cell
+// that starts at or above `limit(cell_start)`, the end of the parsable
+// space holding that cell. Free chunks own no slots.
+template <typename Limit, typename Visit>
+inline void for_each_slot_on_card(const BlockOffsetTable& bot,
+                                  const CardTable& cards, std::size_t card_idx,
+                                  Limit limit, Visit visit) {
+  char* const card_base = cards.card_base(card_idx);
+  char* const card_end = cards.card_end(card_idx);
+  if (card_base >= limit(card_base)) return;
+  for (Obj* cell = bot.cell_covering(card_base);
+       cell->start() < card_end && cell->start() < limit(cell->start());
+       cell = cell->next_in_space()) {
+    if (cell->is_free_chunk()) continue;
+    const std::size_t nrefs = cell->num_refs();
+    char* const slots_begin = cell->start() + sizeof(ObjHeader);
+    std::size_t i = 0;
+    if (card_base > slots_begin) {
+      i = static_cast<std::size_t>(card_base - slots_begin + kWordSize - 1) /
+          kWordSize;
+    }
+    for (; i < nrefs && slots_begin + i * sizeof(RefSlot) < card_end; ++i) {
+      visit(cell, cell->refs()[i]);
+    }
+  }
+}
 
 }  // namespace mgc

@@ -17,47 +17,38 @@ void CardTable::initialize(char* base, std::size_t bytes) {
 
 void CardTable::dirty_range(const void* from, const void* to) {
   if (from >= to) return;
-  const std::size_t first = index_of(from);
-  const std::size_t last = index_of(static_cast<const char*>(to) - 1);
-  std::size_t i = first;
-  for (; i <= last && (i % kCardsPerWord) != 0; ++i) {
-    cards_[i].store(kDirty, std::memory_order_relaxed);
-  }
-  constexpr std::uint64_t kAllDirty = 0x0101010101010101ULL;
-  for (; i + kCardsPerWord <= last + 1; i += kCardsPerWord) {
-    store_word_relaxed(i / kCardsPerWord, kAllDirty);
-  }
-  for (; i <= last; ++i) {
-    cards_[i].store(kDirty, std::memory_order_relaxed);
-  }
+  fill_span_relaxed(index_of(from),
+                    index_of(static_cast<const char*>(to) - 1), kDirty);
   // Publish the batch with one fence (see the header's ordering contract).
   std::atomic_thread_fence(std::memory_order_release);
 }
 
-void CardTable::clear_span_relaxed(std::size_t first,
-                                   std::size_t last_inclusive) {
+void CardTable::fill_span_relaxed(std::size_t first,
+                                  std::size_t last_inclusive,
+                                  std::uint8_t value) {
   std::size_t i = first;
   for (; i <= last_inclusive && (i % kCardsPerWord) != 0; ++i) {
-    cards_[i].store(kClean, std::memory_order_relaxed);
+    cards_[i].store(value, std::memory_order_relaxed);
   }
+  const std::uint64_t word = value * 0x0101010101010101ULL;
   for (; i + kCardsPerWord <= last_inclusive + 1; i += kCardsPerWord) {
-    store_word_relaxed(i / kCardsPerWord, 0);
+    store_word_relaxed(i / kCardsPerWord, word);
   }
   for (; i <= last_inclusive; ++i) {
-    cards_[i].store(kClean, std::memory_order_relaxed);
+    cards_[i].store(value, std::memory_order_relaxed);
   }
 }
 
 void CardTable::clear_all() {
   if (cards_.empty()) return;
-  clear_span_relaxed(0, cards_.size() - 1);
+  fill_span_relaxed(0, cards_.size() - 1, kClean);
   std::atomic_thread_fence(std::memory_order_release);
 }
 
 void CardTable::clear_range(const void* from, const void* to) {
   if (from >= to) return;
-  clear_span_relaxed(index_of(from),
-                     index_of(static_cast<const char*>(to) - 1));
+  fill_span_relaxed(index_of(from),
+                    index_of(static_cast<const char*>(to) - 1), kClean);
   std::atomic_thread_fence(std::memory_order_release);
 }
 

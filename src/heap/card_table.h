@@ -175,9 +175,11 @@ class CardTable {
     std::atomic_ref<std::uint64_t>(*bytes).store(value,
                                                  std::memory_order_relaxed);
   }
-  // Relaxed per-card/word stores over the inclusive card range; callers add
-  // the single trailing release fence (see the ordering contract above).
-  void clear_span_relaxed(std::size_t first, std::size_t last_inclusive);
+  // Relaxed per-card/word stores of `value` over the inclusive card range;
+  // callers add the single trailing release fence (see the ordering
+  // contract above).
+  void fill_span_relaxed(std::size_t first, std::size_t last_inclusive,
+                         std::uint8_t value);
 
   char* base_ = nullptr;
   std::size_t covered_bytes_ = 0;

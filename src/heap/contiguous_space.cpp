@@ -35,15 +35,9 @@ void ContiguousSpace::set_top(char* t) {
 
 char* ContiguousSpace::par_alloc(std::size_t bytes) {
   MGC_DCHECK(bytes % kObjAlignment == 0);
-  char* cur = top_.load(std::memory_order_relaxed);
-  while (true) {
-    if (static_cast<std::size_t>(end_ - cur) < bytes) return nullptr;
-    if (top_.compare_exchange_weak(cur, cur + bytes, std::memory_order_acq_rel,
-                                   std::memory_order_relaxed)) {
-      poison::unpoison(cur, bytes);
-      return cur;
-    }
-  }
+  char* const p = par_bump(top_, end_, bytes);
+  if (p != nullptr) poison::unpoison(p, bytes);
+  return p;
 }
 
 char* ContiguousSpace::serial_alloc(std::size_t bytes) {
@@ -56,15 +50,9 @@ char* ContiguousSpace::serial_alloc(std::size_t bytes) {
 }
 
 void ContiguousSpace::walk(const std::function<void(Obj*)>& fn) const {
-  char* cur = base_;
   char* const limit = top();
-  while (cur < limit) {
-    auto* o = reinterpret_cast<Obj*>(cur);
-    MGC_CHECK_MSG(o->size_words() >= kMinObjWords, "heap not parsable");
-    fn(o);
-    cur = o->end();
-  }
-  MGC_CHECK_MSG(cur == limit, "heap walk overran top");
+  MGC_CHECK_MSG(for_each_cell(base_, limit, fn) == limit,
+                "heap walk overran top");
 }
 
 }  // namespace mgc

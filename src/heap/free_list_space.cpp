@@ -192,14 +192,7 @@ void FreeListSpace::expand(std::size_t bytes) {
 }
 
 void FreeListSpace::walk(const std::function<void(Obj*)>& fn) const {
-  char* cur = base_;
-  while (cur < end_) {
-    auto* o = reinterpret_cast<Obj*>(cur);
-    MGC_CHECK_MSG(o->size_words() >= kMinObjWords,
-                  "free-list space not parsable");
-    fn(o);
-    cur = o->end();
-  }
+  for_each_cell(base_, end_, fn);
 }
 
 void FreeListSpace::begin_sweep() {

@@ -1,6 +1,7 @@
 // Fundamental heap layout constants shared by all spaces and collectors.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -28,6 +29,19 @@ inline constexpr std::size_t align_up(std::size_t v, std::size_t alignment) {
 inline char* align_up_ptr(char* p, std::size_t alignment) {
   return reinterpret_cast<char*>(
       align_up(reinterpret_cast<std::size_t>(p), alignment));
+}
+
+// Lock-free bump allocation of `bytes` below `end`: the shared fast path of
+// every contiguous space and G1 region. nullptr when they do not fit.
+inline char* par_bump(std::atomic<char*>& top, const char* end,
+                      std::size_t bytes) {
+  char* cur = top.load(std::memory_order_relaxed);
+  do {
+    if (static_cast<std::size_t>(end - cur) < bytes) return nullptr;
+  } while (!top.compare_exchange_weak(cur, cur + bytes,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_relaxed));
+  return cur;
 }
 
 }  // namespace mgc

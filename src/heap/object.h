@@ -188,6 +188,21 @@ class Obj {
   }
 };
 
+// Calls fn(cell) for each cell of the linearly parsable range [from, to)
+// and returns where the walk ended (`to`, unless the last cell overruns
+// it).
+template <typename Fn>
+char* for_each_cell(char* from, char* to, Fn&& fn) {
+  char* cur = from;
+  while (cur < to) {
+    auto* o = reinterpret_cast<Obj*>(cur);
+    MGC_CHECK_MSG(o->size_words() >= kMinObjWords, "heap not parsable");
+    fn(o);
+    cur = o->end();
+  }
+  return cur;
+}
+
 // A deterministic checksum of an object's identity (shape + payload), used
 // by tests to verify that copying/compacting preserves contents.
 std::uint64_t object_checksum(const Obj* o);

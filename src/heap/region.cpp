@@ -21,14 +21,7 @@ const char* region_type_name(RegionType t) {
 }
 
 void Region::walk(const std::function<void(Obj*)>& fn) const {
-  char* cur = base;
-  char* const limit = top();
-  while (cur < limit) {
-    auto* o = reinterpret_cast<Obj*>(cur);
-    MGC_CHECK_MSG(o->size_words() >= kMinObjWords, "region not parsable");
-    fn(o);
-    cur = o->end();
-  }
+  for_each_cell(base, top(), fn);
 }
 
 void Region::reset_for_reuse() {
@@ -111,6 +104,17 @@ Region* RegionManager::allocate_humongous(std::size_t count) {
     }
   }
   return nullptr;
+}
+
+std::size_t RegionManager::humongous_span(const Region& head) const {
+  MGC_DCHECK(head.type() == RegionType::kHumongousHead);
+  std::size_t n = 1;
+  while (head.index + n < regions_.size() &&
+         regions_[head.index + n].type() == RegionType::kHumongousCont &&
+         regions_[head.index + n].humongous_head == &head) {
+    ++n;
+  }
+  return n;
 }
 
 void RegionManager::free_region(Region* r) {

@@ -58,17 +58,7 @@ class Region {
   }
 
   // Thread-safe bump allocation within the region.
-  char* par_alloc(std::size_t bytes) {
-    char* cur = top_.load(std::memory_order_relaxed);
-    while (true) {
-      if (static_cast<std::size_t>(end - cur) < bytes) return nullptr;
-      if (top_.compare_exchange_weak(cur, cur + bytes,
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_relaxed)) {
-        return cur;
-      }
-    }
-  }
+  char* par_alloc(std::size_t bytes) { return par_bump(top_, end, bytes); }
 
   // Walks cells [base, top). Pause-time only.
   void walk(const std::function<void(Obj*)>& fn) const;
@@ -135,6 +125,9 @@ class RegionManager {
   Region* allocate_region(RegionType type);
   // Allocates `count` physically contiguous regions for a humongous object.
   Region* allocate_humongous(std::size_t count);
+  // Regions the humongous object headed at `head` occupies: the head and
+  // its continuations.
+  std::size_t humongous_span(const Region& head) const;
   void free_region(Region* r);
 
   std::size_t free_region_count() const;

@@ -57,7 +57,7 @@ enum class LockRank : std::uint16_t {
   kSafepoint = 130,     // SafepointCoordinator mu_ (leave_blocked nests
                         // inside every GuardedLock-wrapped mutex)
   kGcWorkerPool = 140,  // GcWorkerPool mu_
-  kGcBackground = 150,  // CMS/G1 background-cycle bg_mu_
+  kGcBackground = 150,  // ConcurrentCycle mu_ (the CMS/G1 background thread)
   kGcLog = 160,         // GcLog mu_ (taken under mutators_mu_)
   kGcBarrier = 170,     // SenseBarrier mu_
   // heap / pause internals (innermost spinlocks)
