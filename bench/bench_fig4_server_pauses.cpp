@@ -11,7 +11,6 @@ int main(int argc, char** argv) {
   const BenchArgs args = parse_bench_args(argc, argv);
   banner("Figure 4 + §4.1: GC pauses on the Cassandra-like server",
          "Figure 4 / §4.1");
-  const bool use_net = net_flag(argc, argv);
   const int loops = loops_flag(argc, argv);
 
   BenchReport report("fig4", args);
@@ -19,24 +18,24 @@ int main(int argc, char** argv) {
   const std::uint64_t records = cassandra_records();
   const std::uint64_t ops = cassandra_operations();
   std::cout << "records=" << records << " (1KB rows), operations=" << ops
-            << ", 50% read / 50% update, transport="
-            << (use_net ? "loopback TCP (--net)" : "in-process") << "\n";
+            << ", 50% read / 50% update over loopback TCP\n";
 
   Table summary("server-side pause summary");
   summary.header({"GC", "config", "pauses", "full", "max pause (ms)",
-                  "avg pause (ms)", "total paused (ms)", "flushes"});
+                  "avg pause (ms)", "total paused (ms)", "flushes",
+                  "failed ops"});
 
   // ParallelOld: default configuration (§4.1 first experiment) ...
   {
     const CassandraRun r = run_cassandra_ycsb(GcKind::kParallelOld,
                                               /*stress=*/false, records, ops,
-                                              0.5, 0.5, 0.0, use_net,
                                               /*heap_bytes_override=*/0, loops);
     summary.row({"ParallelOldGC", "default", std::to_string(r.pauses.pauses),
                  std::to_string(r.pauses.full_pauses),
                  Table::num(r.pauses.max_s * 1e3),
                  Table::num(r.pauses.avg_s * 1e3),
-                 Table::num(r.pauses.total_s * 1e3), std::to_string(r.flushes)});
+                 Table::num(r.pauses.total_s * 1e3), std::to_string(r.flushes),
+                 std::to_string(r.failed_ops())});
     report.set_collector_metric(GcKind::kParallelOld, "default_max_pause_ms",
                                 r.pauses.max_s * 1e3);
     report.set_collector_metric(GcKind::kParallelOld, "default_avg_pause_ms",
@@ -46,13 +45,14 @@ int main(int argc, char** argv) {
   // ... and the three main collectors under the stress configuration.
   for (GcKind gc : main_gc_kinds()) {
     const CassandraRun r = run_cassandra_ycsb(gc, /*stress=*/true, records,
-                                              ops, 0.5, 0.5, 0.0, use_net,
-                                              /*heap_bytes_override=*/0, loops);
+                                              ops, /*heap_bytes_override=*/0,
+                                              loops);
     summary.row({gc_name(gc), "stress", std::to_string(r.pauses.pauses),
                  std::to_string(r.pauses.full_pauses),
                  Table::num(r.pauses.max_s * 1e3),
                  Table::num(r.pauses.avg_s * 1e3),
-                 Table::num(r.pauses.total_s * 1e3), std::to_string(r.flushes)});
+                 Table::num(r.pauses.total_s * 1e3), std::to_string(r.flushes),
+                 std::to_string(r.failed_ops())});
     report.set_collector_metric(gc, "stress_max_pause_ms",
                                 r.pauses.max_s * 1e3);
     report.set_collector_metric(gc, "stress_avg_pause_ms",

@@ -2,6 +2,9 @@
 // read / 50% update workload for ParallelOld, CMS and G1. For each
 // collector the binary prints the latency scatter (top 10000 points, as
 // the paper plots), the GC pause overlay, and the latency band statistics.
+// The client reaches the server over loopback TCP. The binary exits
+// non-zero if a collector's longest pause is not visible in the client
+// latency of an op that overlapped it, or if any op failed.
 #include "bench_json.h"
 #include "cassandra_common.h"
 
@@ -11,21 +14,20 @@ int main(int argc, char** argv) {
   const BenchArgs args = parse_bench_args(argc, argv);
   banner("Figure 5 + Tables 5-7: client response time per GC strategy",
          "Figure 5(a,b,c), Tables 5, 6, 7 / §4.2");
-  const bool use_net = net_flag(argc, argv);
   const int loops = loops_flag(argc, argv);
 
   BenchReport report("fig5", args);
-  std::cout << "transport: "
-            << (use_net ? "loopback TCP (--net)" : "in-process") << "\n";
+  std::cout << "transport: loopback TCP, " << loops << " event loop(s)\n";
 
   const std::uint64_t records = cassandra_records();
   const std::uint64_t ops = cassandra_operations();
+  bool ok = true;
 
   for (GcKind gc : main_gc_kinds()) {
     std::cout << "\n####### " << gc_name(gc) << " #######\n";
     const CassandraRun r = run_cassandra_ycsb(gc, /*stress=*/true, records,
-                                              ops, 0.5, 0.5, 0.0, use_net,
-                                              /*heap_bytes_override=*/0, loops);
+                                              ops, /*heap_bytes_override=*/0,
+                                              loops);
 
     // Figure 5 series: READ latency, UPDATE latency, GC pauses.
     std::vector<SeriesPoint> reads, updates, gcs;
@@ -66,6 +68,8 @@ int main(int argc, char** argv) {
     }
     t.print(std::cout);
     report.add_table(t);
+    std::cout << "failed ops: " << r.failed_ops() << "\n";
+    if (r.failed_ops() != 0) ok = false;
 
     // Pause-visibility check (the reason the network path exists at all):
     // a request in flight across a stop-the-world pause cannot finish
@@ -87,16 +91,16 @@ int main(int argc, char** argv) {
           max_overlap_ms = std::max(max_overlap_ms, ns_to_ms(s.latency_ns));
         }
       }
+      const bool visible = max_overlap_ms >= longest->duration_ms();
       std::cout << "pause-visibility check: longest pause "
                 << longest->duration_ms() << " ms, max client latency "
                 << "overlapping it " << max_overlap_ms << " ms ("
-                << (max_overlap_ms >= longest->duration_ms() ? "visible"
-                                                             : "NOT visible")
-                << ")\n";
+                << (visible ? "visible" : "NOT visible") << ")\n";
+      if (!visible) ok = false;
     }
   }
   std::cout << "Expected shape: most operations sit on a low-latency line and\n"
                "fall in the 0.5x-1.5x band with 0% GC overlap; the >2x/4x/8x\n"
                "spike bands are attributed to GC pauses at (or near) 100%.\n";
-  return report.write() ? 0 : 1;
+  return report.write() && ok ? 0 : 1;
 }

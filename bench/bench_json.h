@@ -50,7 +50,7 @@ struct BenchArgs {
 };
 
 // Parses --json/--quick (other argv entries are ignored, so binaries with
-// extra flags like --net keep working). Must run before the first
+// extra flags like --loops keep working). Must run before the first
 // env::scale() read: --quick lowers MGC_SCALE for the whole process
 // unless the environment already set one.
 BenchArgs parse_bench_args(int argc, char** argv);

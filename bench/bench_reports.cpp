@@ -328,8 +328,7 @@ Json make_distilled_report(const BenchArgs& args) {
 
     const CassandraRun eps = run_cassandra_ycsb(
         GcKind::kEpsilon, /*stress=*/false, records, operations,
-        /*read_prop=*/0.5, /*update_prop=*/0.5, /*insert_prop=*/0.0,
-        /*use_net=*/false, epsilon_heap_bytes(alloc_volume));
+        epsilon_heap_bytes(alloc_volume));
     const double eps_wall = eps.load.duration_s() + eps.run.duration_s();
 
     add_cost_row(t, report, "ycsb", GcKind::kEpsilon, eps.cost, eps_wall,

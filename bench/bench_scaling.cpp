@@ -87,17 +87,13 @@ int main(int argc, char** argv) {
       ncfg.pin_loops = pin;
       net::NetServer netsrv(server, ncfg);
 
-      ycsb::WorkloadSpec spec;
-      spec.record_count = records;
-      spec.operation_count = ops;
-      spec.read_proportion = 0.5;
-      spec.update_proportion = 0.5;
-      spec.value_len = scfg.value_len;
-      spec.client_threads = conns;
-      spec.pipeline_depth = kPipelineDepth;
-      ycsb::RemoteEndpoint ep;
-      ep.port = netsrv.port();
-      ycsb::Client client(ep, spec, env::seed());
+      ycsb::Client client(netsrv.port(),
+                          {.record_count = records,
+                           .operation_count = ops,
+                           .value_len = scfg.value_len,
+                           .client_threads = conns,
+                           .pipeline_depth = kPipelineDepth},
+                          env::seed());
 
       client.load();
       const ycsb::PhaseResult run = client.run();

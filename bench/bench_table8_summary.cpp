@@ -15,6 +15,7 @@ struct Measured {
   double dacapo_max_pause = 0;  // seconds
   double cass_ops_s = 0;        // transaction-phase throughput
   double cass_max_pause = 0;    // seconds
+  std::uint64_t cass_failed_ops = 0;
 };
 
 }  // namespace
@@ -48,6 +49,7 @@ int main(int argc, char** argv) {
         cassandra_operations() / 2);
     mres.cass_ops_s = r.run.throughput_ops_s();
     mres.cass_max_pause = r.pauses.max_s;
+    mres.cass_failed_ops = r.failed_ops();
   }
 
   // Rate relative to the best measurement in each column.
@@ -73,19 +75,21 @@ int main(int argc, char** argv) {
 
   Table t("measured verdicts (rated against the best collector per column)");
   t.header({"GC", "Experiment", "Throughput", "Pause Time",
-            "(total s / max pause ms)"});
+            "(total s / max pause ms)", "failed ops"});
   for (GcKind gc : main_gc_kinds()) {
     const Measured& mres = results[gc];
     t.row({gc_traits(gc).short_name, "DaCapo",
            rate_throughput(mres.dacapo_total_s / best_dacapo),
            rate_pause(mres.dacapo_max_pause / least_dacapo_pause),
            Table::num(mres.dacapo_total_s, 2) + " / " +
-               Table::num(mres.dacapo_max_pause * 1e3, 1)});
+               Table::num(mres.dacapo_max_pause * 1e3, 1),
+           "-"});
     t.row({gc_traits(gc).short_name, "Cassandra",
            rate_throughput(best_cass / std::max(1.0, mres.cass_ops_s)),
            rate_pause(mres.cass_max_pause / least_cass_pause),
            Table::num(mres.cass_ops_s, 0) + " ops/s / " +
-               Table::num(mres.cass_max_pause * 1e3, 1)});
+               Table::num(mres.cass_max_pause * 1e3, 1),
+           std::to_string(mres.cass_failed_ops)});
     report.set_collector_metric(gc, "dacapo_total_s", mres.dacapo_total_s);
     report.set_collector_metric(gc, "dacapo_max_pause_ms",
                                 mres.dacapo_max_pause * 1e3);

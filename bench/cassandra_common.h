@@ -6,7 +6,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 
 #include "bench_common.h"
 #include "kvstore/server.h"
@@ -25,6 +24,8 @@ struct CassandraRun {
   // Distilled GC cost channels for the whole run (runtime/gc_cost.h).
   GcCostSnapshot cost;
   std::uint64_t allocated_bytes = 0;
+  // Ops of either phase the client never saw succeed (ycsb::PhaseResult).
+  std::uint64_t failed_ops() const { return load.failed + run.failed; }
 };
 
 inline VmConfig cassandra_vm_config(GcKind gc) {
@@ -40,16 +41,12 @@ inline VmConfig cassandra_vm_config(GcKind gc) {
   return cfg;
 }
 
-// With use_net=true the YCSB client talks to the server over loopback TCP
-// through the epoll front-end (the paper's separate-client-machine path);
-// otherwise it calls straight into the worker queue as before.
+// The YCSB client reaches the server over loopback TCP through the epoll
+// front-end (the paper's separate-client-machine path); the front-end is
+// drained before the pause log is read.
 inline CassandraRun run_cassandra_ycsb(GcKind gc, bool stress,
                                        std::uint64_t records,
                                        std::uint64_t operations,
-                                       double read_prop = 0.5,
-                                       double update_prop = 0.5,
-                                       double insert_prop = 0.0,
-                                       bool use_net = false,
                                        std::size_t heap_bytes_override = 0,
                                        int net_loops = 1) {
   VmConfig cfg = cassandra_vm_config(gc);
@@ -65,33 +62,19 @@ inline CassandraRun run_cassandra_ycsb(GcKind gc, bool stress,
   kv::ShardedStore store(vm, scfg, /*shards=*/1);
   const int workers = std::min(env::threads(), 8);
   kv::Server server(vm, store, {.workers_per_shard = workers});
+  net::NetServer net_server(server, {.loops = net_loops});
 
-  ycsb::WorkloadSpec spec;
-  spec.record_count = records;
-  spec.operation_count = operations;
-  spec.read_proportion = read_prop;
-  spec.update_proportion = update_prop;
-  spec.insert_proportion = insert_prop;
-  spec.value_len = scfg.value_len;
-  spec.client_threads = workers;
-
-  std::unique_ptr<net::NetServer> net_server;
-  std::unique_ptr<ycsb::Client> client;
-  if (use_net) {
-    net::NetServerConfig ncfg;
-    ncfg.loops = net_loops;
-    net_server = std::make_unique<net::NetServer>(server, ncfg);
-    ycsb::RemoteEndpoint ep;
-    ep.port = net_server->port();
-    client = std::make_unique<ycsb::Client>(ep, spec, env::seed());
-  } else {
-    client = std::make_unique<ycsb::Client>(server, spec, env::seed());
-  }
+  ycsb::Client client(net_server.port(),
+                      {.record_count = records,
+                       .operation_count = operations,
+                       .value_len = scfg.value_len,
+                       .client_threads = workers},
+                      env::seed());
   CassandraRun out;
   out.origin_ns = vm.gc_log().origin_ns();
-  out.load = client->load();
-  out.run = client->run();
-  if (net_server != nullptr) net_server->shutdown();  // drain + flush
+  out.load = client.load();
+  out.run = client.run();
+  net_server.shutdown();  // drain + flush
   out.pauses = vm.gc_log().summarize();
   out.pause_events = vm.gc_log().snapshot();
   out.flushes = store.flush_count();
@@ -100,18 +83,9 @@ inline CassandraRun run_cassandra_ycsb(GcKind gc, bool stress,
   return out;
 }
 
-// True if any argv equals "--net": the fig4/fig5 binaries accept it to run
-// the client over the socket front-end instead of in-process.
-inline bool net_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--net") == 0) return true;
-  }
-  return false;
-}
-
-// "--loops N": event-loop count for the --net front-end (default 1, the
-// pre-sharding shape). CI's asan-net job smokes fig4/fig5 with
-// `--net --loops 2` to cover the multi-loop path under sanitizers.
+// "--loops N": event-loop count for the socket front-end (default 1, the
+// pre-sharding shape). CI's asan-net job smokes fig5 with `--loops 2` to
+// cover the multi-loop path under sanitizers.
 inline int loops_flag(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--loops") == 0) {

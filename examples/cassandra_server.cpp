@@ -1,17 +1,14 @@
 // Example: the client-server experiment in miniature. Boot the
-// Cassandra-like store under a chosen collector, run a YCSB-style load +
-// transaction phase, and print how server GC pauses surfaced as client
-// latency. With --net the client talks to the server over loopback TCP
-// through the epoll front-end (the paper's measurement path); the server
-// is then shut down gracefully (drain in-flight, flush responses, stop
-// workers) before the statistics are printed.
+// Cassandra-like store under a chosen collector behind the loopback TCP
+// front-end, run a YCSB-style load + transaction phase through it (the
+// paper's measurement path), shut the front-end down gracefully (drain
+// in-flight, flush responses), and print how server GC pauses surfaced as
+// client latency.
 //
-//   $ ./build/examples/cassandra_server [GC] [default|stress] [records] [ops] [--net]
-//   $ ./build/examples/cassandra_server CMS stress 8000 40000 --net
+//   $ ./build/examples/cassandra_server [GC] [default|stress] [records] [ops]
+//   $ ./build/examples/cassandra_server CMS stress 8000 40000
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,16 +22,7 @@
 int main(int argc, char** argv) {
   using namespace mgc;
 
-  bool use_net = false;
-  std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--net") == 0) {
-      use_net = true;
-    } else {
-      args.emplace_back(argv[i]);
-    }
-  }
-
+  const std::vector<std::string> args(argv + 1, argv + argc);
   const GcKind gc = args.size() > 0 ? gc_kind_from_name(args[0].c_str())
                                     : GcKind::kCms;
   const bool stress = args.size() > 1 && args[1] == "stress";
@@ -53,41 +41,31 @@ int main(int argc, char** argv) {
                              : kv::StoreConfig::default_config(cfg.heap_bytes);
   kv::ShardedStore store(vm, scfg, /*shards=*/1);
   kv::Server server(vm, store, {.workers_per_shard = 4});
-
-  std::unique_ptr<net::NetServer> net_server;
-  ycsb::WorkloadSpec spec = ycsb::WorkloadSpec::paper_custom(records, ops, 4);
-  std::unique_ptr<ycsb::Client> client;
-  if (use_net) {
-    net_server = std::make_unique<net::NetServer>(server);
-    ycsb::RemoteEndpoint ep;
-    ep.port = net_server->port();
-    client = std::make_unique<ycsb::Client>(ep, spec, env::seed());
-  } else {
-    client = std::make_unique<ycsb::Client>(server, spec, env::seed());
-  }
+  net::NetServer net_server(server);
+  ycsb::Client client(
+      net_server.port(),
+      {.record_count = records, .operation_count = ops, .client_threads = 4},
+      env::seed());
 
   std::cout << "server up: " << cfg.describe() << ", "
-            << (stress ? "stress" : "default") << " store config"
-            << (use_net ? ", loopback TCP front-end on port " +
-                              std::to_string(net_server->port())
-                        : ", in-process transport")
-            << "\nloading " << records << " rows...\n";
-  const ycsb::PhaseResult load = client->load();
+            << (stress ? "stress" : "default")
+            << " store config, loopback TCP front-end on port "
+            << net_server.port() << "\nloading " << records << " rows...\n";
+  const ycsb::PhaseResult load = client.load();
   std::cout << "load: " << load.duration_s() << " s ("
             << load.throughput_ops_s() << " ops/s)\nrunning " << ops
             << " transactions (50% read / 50% update)...\n";
-  const ycsb::PhaseResult run = client->run();
+  const ycsb::PhaseResult run = client.run();
   std::cout << "run: " << run.duration_s() << " s ("
             << run.throughput_ops_s() << " ops/s), flushes="
-            << store.flush_count() << "\n";
+            << store.flush_count() << ", failed ops="
+            << load.failed + run.failed << "\n";
 
-  if (net_server != nullptr) {
-    net_server->shutdown();
-    const net::NetServerStats ns = net_server->stats();
-    std::cout << "net front-end drained: " << ns.accepted
-              << " connections served, " << ns.frames_in << " requests in, "
-              << ns.frames_out << " responses out\n";
-  }
+  net_server.shutdown();
+  const net::NetServerStats ns = net_server.stats();
+  std::cout << "net front-end drained: " << ns.accepted
+            << " connections served, " << ns.frames_in << " requests in, "
+            << ns.frames_out << " responses out\n";
 
   const auto pauses = vm.gc_log().snapshot();
   const PauseSummary sum = vm.gc_log().summarize();

@@ -1,8 +1,8 @@
-// Synchronous one-connection client for the kv wire protocol: the remote
-// transport behind ycsb::Client's --net mode. One BlockingClient per
-// client thread, blocking send/recv — the round-trip the caller times
-// therefore includes the socket path plus whatever the server-side GC is
-// doing. Two shapes of in-flight window:
+// Synchronous one-connection client for the kv wire protocol: the
+// transport behind ycsb::Client. One BlockingClient per client thread,
+// blocking send/recv — the round-trip the caller times therefore includes
+// the socket path plus whatever the server-side GC is doing. Two shapes of
+// in-flight window:
 //
 //   * call()/execute()            — one request in flight (exactly the
 //     YCSB closed-loop model);

@@ -72,7 +72,7 @@ struct GcFailureCounters {
 
 struct PauseEvent {
   std::int64_t start_ns = 0;  // absolute, Clock epoch
-  std::int64_t end_ns = 0;
+  std::int64_t end_ns = 0;    // taken before the mutators are released
   PauseKind kind = PauseKind::kYoungGc;
   GcCause cause = GcCause::kAllocFailure;
   bool full = false;  // counts as a "full GC" in the paper's statistics

@@ -206,8 +206,10 @@ void Vm::vm_thread_main() {
     ev.used_before = collector_->usage().used;
     const PauseOutcome out = (*op->fn)();
     ev.used_after = collector_->usage().used;
-    sp_.end();
+    // Stamped while the world is still stopped: once end() wakes the
+    // mutators this thread may not run again for a scheduler slice.
     ev.end_ns = now_ns();
+    sp_.end();
 
     if (!out.skipped) {
       ev.kind = out.kind;

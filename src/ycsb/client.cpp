@@ -1,6 +1,5 @@
 #include "ycsb/client.h"
 
-#include <memory>
 #include <thread>
 
 #include "net/blocking_client.h"
@@ -11,39 +10,43 @@
 namespace mgc::ycsb {
 namespace {
 
-// Per-thread transport: either direct in-process execution or a private
-// loopback TCP connection. Constructed on the client thread itself so the
-// connect cost never lands inside a timed sample.
-class Transport {
- public:
-  Transport(kv::Server* server, const RemoteEndpoint& ep) : server_(server) {
-    if (server_ == nullptr) {
-      remote_ = std::make_unique<net::BlockingClient>(ep.host, ep.port);
-      MGC_CHECK_MSG(remote_->connected(), "ycsb: cannot connect to kv server");
-    }
+// An op the server did not answer with kOk is counted, not timed.
+void record(kv::OpType op, const kv::Response& resp, std::int64_t start_ns,
+            std::int64_t latency_ns, PhaseResult& out) {
+  if (resp.status != kv::ExecStatus::kOk) {
+    ++out.failed;
+    return;
   }
+  out.samples.push_back({start_ns, latency_ns, op});
+}
 
-  kv::Response execute(const kv::Request& req) {
-    return server_ != nullptr ? server_->execute(req) : remote_->execute(req);
+// Runs `body(t, conn, out)` on `threads` client threads, each with its own
+// connection to `port`, and merges what they recorded. The connection is
+// opened on the client thread itself so its cost never lands inside a
+// timed sample.
+template <typename Body>
+PhaseResult run_client_threads(int threads, std::uint16_t port, Body body) {
+  PhaseResult result;
+  std::vector<PhaseResult> per_thread(static_cast<std::size_t>(threads));
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(threads));
+  result.start_ns = now_ns();
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([t, port, &body, &per_thread] {
+      net::BlockingClient conn("127.0.0.1", port);
+      MGC_CHECK_MSG(conn.connected(), "ycsb: cannot connect to kv server");
+      body(t, conn, per_thread[static_cast<std::size_t>(t)]);
+    });
   }
-
-  // A pipelined window: one batch round trip on the remote transport,
-  // back-to-back calls in-process (where there is no wire to pipeline).
-  std::vector<kv::Response> execute_window(
-      const std::vector<kv::Request>& reqs) {
-    if (server_ != nullptr) {
-      std::vector<kv::Response> out;
-      out.reserve(reqs.size());
-      for (const kv::Request& r : reqs) out.push_back(server_->execute(r));
-      return out;
-    }
-    return remote_->execute_batch(reqs);
+  for (auto& t : pool) t.join();
+  result.end_ns = now_ns();
+  for (const PhaseResult& r : per_thread) {
+    result.samples.insert(result.samples.end(), r.samples.begin(),
+                          r.samples.end());
+    result.failed += r.failed;
   }
-
- private:
-  kv::Server* server_;
-  std::unique_ptr<net::BlockingClient> remote_;
-};
+  return result;
+}
 
 }  // namespace
 
@@ -54,136 +57,75 @@ double PhaseResult::throughput_ops_s() const {
   return d > 0 ? static_cast<double>(samples.size()) / d : 0.0;
 }
 
-Client::Client(kv::Server& server, const WorkloadSpec& spec,
+Client::Client(std::uint16_t port, const WorkloadSpec& spec,
                std::uint64_t seed)
-    : server_(&server), spec_(spec), seed_(seed) {
-  spec_.validate();
-}
-
-Client::Client(const RemoteEndpoint& endpoint, const WorkloadSpec& spec,
-               std::uint64_t seed)
-    : remote_(endpoint), spec_(spec), seed_(seed) {
+    : port_(port), spec_(spec), seed_(seed) {
   spec_.validate();
 }
 
 PhaseResult Client::load() {
-  PhaseResult result;
-  result.start_ns = now_ns();
-  const int threads = spec_.client_threads;
-  std::vector<std::vector<OpSample>> per_thread(
-      static_cast<std::size_t>(threads));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([this, t, threads, &per_thread] {
-      Transport transport(server_, remote_);
-      auto& samples = per_thread[static_cast<std::size_t>(t)];
-      for (std::uint64_t key = static_cast<std::uint64_t>(t);
-           key < spec_.record_count;
-           key += static_cast<std::uint64_t>(threads)) {
-        kv::Request req;
-        req.op = kv::OpType::kInsert;
-        req.key = key;
-        req.value_len = spec_.value_len;
-        OpSample s;
-        s.op = req.op;
-        s.start_ns = now_ns();
-        transport.execute(req);
-        s.latency_ns = now_ns() - s.start_ns;
-        samples.push_back(s);
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  result.end_ns = now_ns();
-  for (auto& v : per_thread) {
-    result.samples.insert(result.samples.end(), v.begin(), v.end());
-  }
-  return result;
+  const auto threads = static_cast<std::uint64_t>(spec_.client_threads);
+  return run_client_threads(
+      spec_.client_threads, port_,
+      [&](int t, net::BlockingClient& conn, PhaseResult& out) {
+        for (auto key = static_cast<std::uint64_t>(t);
+             key < spec_.record_count; key += threads) {
+          const kv::Request req{.op = kv::OpType::kInsert,
+                                .key = key,
+                                .value_len = spec_.value_len};
+          const std::int64_t t0 = now_ns();
+          const kv::Response resp = conn.execute(req);
+          record(req.op, resp, t0, now_ns() - t0, out);
+        }
+      });
 }
 
 PhaseResult Client::run() {
-  PhaseResult result;
-  result.start_ns = now_ns();
-  const int threads = spec_.client_threads;
-  const std::uint64_t per_thread_ops =
-      spec_.operation_count / static_cast<std::uint64_t>(threads) + 1;
-  std::vector<std::vector<OpSample>> per_thread(
-      static_cast<std::size_t>(threads));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([this, t, per_thread_ops, &per_thread] {
-      Transport transport(server_, remote_);
-      Rng rng(seed_ * 1000003 + static_cast<std::uint64_t>(t));
-      ScrambledZipfian zipf(spec_.record_count);
-      auto& samples = per_thread[static_cast<std::size_t>(t)];
-      samples.reserve(per_thread_ops);
-      std::uint64_t next_insert_key =
-          spec_.record_count + static_cast<std::uint64_t>(t) * (1ULL << 40);
-      const std::size_t depth =
-          static_cast<std::size_t>(spec_.pipeline_depth);
-      std::vector<kv::Request> window;
-      window.reserve(depth);
-      const auto next_request = [&] {
-        kv::Request req;
-        const double roll = rng.unit();
-        if (roll < spec_.read_proportion) {
-          req.op = kv::OpType::kRead;
-        } else if (roll < spec_.read_proportion + spec_.update_proportion) {
-          req.op = kv::OpType::kUpdate;
-          req.value_len = spec_.value_len;
-        } else {
-          req.op = kv::OpType::kInsert;
-          req.key = next_insert_key++;
-          req.value_len = spec_.value_len;
+  const auto threads = static_cast<std::uint64_t>(spec_.client_threads);
+  const auto depth = static_cast<std::size_t>(spec_.pipeline_depth);
+  return run_client_threads(
+      spec_.client_threads, port_,
+      [&](int t, net::BlockingClient& conn, PhaseResult& out) {
+        // The remainder goes one op each to the first threads, so the
+        // phase issues exactly operation_count ops.
+        const auto ut = static_cast<std::uint64_t>(t);
+        const std::uint64_t ops =
+            spec_.operation_count / threads +
+            (ut < spec_.operation_count % threads ? 1 : 0);
+        Rng rng(seed_ * 1000003 + ut);
+        ScrambledZipfian zipf(spec_.record_count);
+        out.samples.reserve(ops);
+        std::vector<kv::Request> window;
+        std::vector<kv::Response> responses;
+        window.reserve(depth);
+        for (std::uint64_t i = 0; i < ops; i += window.size()) {
+          window.clear();
+          while (window.size() < depth && i + window.size() < ops) {
+            kv::Request req;
+            if (rng.unit() < 0.5) {
+              req.op = kv::OpType::kRead;
+            } else {
+              req.op = kv::OpType::kUpdate;
+              req.value_len = spec_.value_len;
+            }
+            req.key = zipf.sample(rng);
+            window.push_back(req);
+          }
+          // Depth 1 is the classic closed loop of single frames; deeper
+          // windows ride one batch round trip.
+          const std::int64_t t0 = now_ns();
+          if (depth == 1) {
+            responses.assign(1, conn.execute(window.front()));
+          } else {
+            responses = conn.execute_batch(window);
+          }
+          // Every op of a window is charged the window's round trip.
+          const std::int64_t lat = now_ns() - t0;
+          for (std::size_t k = 0; k < window.size(); ++k) {
+            record(window[k].op, responses[k], t0, lat, out);
+          }
         }
-        if (req.op != kv::OpType::kInsert) {
-          req.key = spec_.distribution == KeyDistribution::kZipfian
-                        ? zipf.sample(rng)
-                        : rng.below(spec_.record_count);
-        }
-        return req;
-      };
-      for (std::uint64_t i = 0; i < per_thread_ops;) {
-        if (depth == 1) {
-          const kv::Request req = next_request();
-          OpSample s;
-          s.op = req.op;
-          s.start_ns = now_ns();
-          transport.execute(req);
-          s.latency_ns = now_ns() - s.start_ns;
-          samples.push_back(s);
-          ++i;
-          continue;
-        }
-        // Pipelined: a window of `depth` ops rides one batch round trip;
-        // every op in it is charged the window latency (that is what an op
-        // costs a client that keeps `depth` requests in flight).
-        window.clear();
-        while (window.size() < depth && i + window.size() < per_thread_ops) {
-          window.push_back(next_request());
-        }
-        const std::int64_t t0 = now_ns();
-        transport.execute_window(window);
-        const std::int64_t lat = now_ns() - t0;
-        for (const kv::Request& req : window) {
-          OpSample s;
-          s.op = req.op;
-          s.start_ns = t0;
-          s.latency_ns = lat;
-          samples.push_back(s);
-        }
-        i += window.size();
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  result.end_ns = now_ns();
-  for (auto& v : per_thread) {
-    result.samples.insert(result.samples.end(), v.begin(), v.end());
-  }
-  return result;
+      });
 }
 
 }  // namespace mgc::ycsb

@@ -1,18 +1,12 @@
 // YCSB-like client driver. Client threads are deliberately *not* VM
-// mutators — they model the paper's separate 16-core client machine — and
-// measure wall-clock latency around each synchronous server call, so every
-// server-side stop-the-world pause shows up in the samples.
-//
-// Two transports, same closed-loop thread structure:
-//   * in-process (default): direct kv::Server::execute calls, as in the
-//     original harness — every existing bench/test is unchanged;
-//   * remote: each client thread opens its own loopback TCP connection to
-//     a net::NetServer and times the full socket round-trip, reproducing
-//     the paper's actual measurement path (client box -> network -> server).
+// mutators — they model the paper's separate 16-core client machine. Each
+// thread opens its own loopback TCP connection to a net::NetServer and
+// times the full socket round trip around every request, so a server-side
+// stop-the-world pause reaches the samples the way it reaches a real
+// client: through the network.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "kvstore/server.h"
@@ -27,35 +21,30 @@ struct OpSample {
 };
 
 struct PhaseResult {
+  // One sample per op the server answered with kOk.
   std::vector<OpSample> samples;
+  // Ops that never succeeded: shed (kOverloaded) or given up on after
+  // the connection's retries (kShutdown). Not timed.
+  std::uint64_t failed = 0;
   std::int64_t start_ns = 0;
   std::int64_t end_ns = 0;
   double duration_s() const;
   double throughput_ops_s() const;
 };
 
-// Loopback TCP endpoint for the remote transport.
-struct RemoteEndpoint {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-};
-
 class Client {
  public:
-  // In-process transport: direct calls into the server's request queue.
-  Client(kv::Server& server, const WorkloadSpec& spec, std::uint64_t seed);
-  // Remote transport: one TCP connection per client thread.
-  Client(const RemoteEndpoint& endpoint, const WorkloadSpec& spec,
-         std::uint64_t seed);
+  // Connects every client thread to the NetServer listening on loopback
+  // `port`.
+  Client(std::uint16_t port, const WorkloadSpec& spec, std::uint64_t seed);
 
   // Load phase: inserts records [0, record_count).
   PhaseResult load();
-  // Transaction phase: operation_count ops with the configured mix.
+  // Transaction phase: exactly operation_count ops of the 50/50 mix.
   PhaseResult run();
 
  private:
-  kv::Server* server_ = nullptr;  // null => remote transport
-  RemoteEndpoint remote_;
+  std::uint16_t port_;
   WorkloadSpec spec_;
   std::uint64_t seed_;
 };

@@ -1,33 +1,13 @@
 #include "ycsb/workload.h"
 
-#include <cmath>
-
 #include "support/check.h"
 
 namespace mgc::ycsb {
-
-WorkloadSpec WorkloadSpec::paper_custom(std::uint64_t records,
-                                        std::uint64_t operations,
-                                        int client_threads_) {
-  WorkloadSpec spec;
-  spec.record_count = records;
-  spec.operation_count = operations;
-  spec.read_proportion = 0.5;
-  spec.update_proportion = 0.5;
-  spec.insert_proportion = 0.0;
-  spec.distribution = KeyDistribution::kZipfian;
-  spec.client_threads = client_threads_;
-  return spec;
-}
 
 void WorkloadSpec::validate() const {
   MGC_CHECK(record_count > 0);
   MGC_CHECK(client_threads >= 1);
   MGC_CHECK(pipeline_depth >= 1);
-  const double total =
-      read_proportion + update_proportion + insert_proportion;
-  MGC_CHECK_MSG(std::abs(total - 1.0) < 1e-9,
-                "operation proportions must sum to 1");
 }
 
 }  // namespace mgc::ycsb

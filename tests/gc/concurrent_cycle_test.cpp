@@ -5,10 +5,13 @@
 // failures and evacuation failures.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "gc/cms_gc.h"
 #include "gc/g1_gc.h"
 #include "runtime/managed.h"
 #include "runtime/vm.h"
+#include "support/fault.h"
 #include "support/units.h"
 
 namespace mgc {
@@ -16,8 +19,9 @@ namespace {
 
 // Mutator kernel: keeps a rotating window of medium-lived blobs inside a
 // managed hash map (constant churn of old-gen data) plus young garbage.
+// `step`, if given, runs after every iteration.
 void churn(Vm& vm, std::size_t map_root, int thread_idx, int iters,
-           std::size_t window) {
+           std::size_t window, const std::function<void()>& step = {}) {
   Vm::MutatorScope scope(vm, "churn-" + std::to_string(thread_idx));
   Mutator& m = scope.mutator();
   for (int i = 0; i < iters; ++i) {
@@ -29,6 +33,7 @@ void churn(Vm& vm, std::size_t map_root, int thread_idx, int iters,
     managed::hash_map::put(m, map, key, value);
     Local junk(m, m.alloc(2, 6));
     (void)junk;
+    if (step) step();
   }
 }
 
@@ -73,9 +78,24 @@ TEST(CmsCycle, ConcurrentModeFailureRecovers) {
     Vm::MutatorScope s(vm, "init");
     vm.set_global_root(root, managed::hash_map::create(s.mutator(), 512));
   }
-  // Tight heap (live window ~2.2 MB vs ~3 MB old gen) + rapid promotion
-  // => free-list exhaustion mid-cycle.
-  churn(vm, root, 0, 60000, 8000);
+  // Tight heap (live window ~2.2 MB vs ~3 MB old gen) + rapid promotion.
+  // Whether the free list runs out mid-cycle depends on how fast the
+  // background sweep runs, so the failure is forced: once a cycle is
+  // active, the next young pause's first copy fails, and the promotion
+  // failure must escalate to a full collection that keeps the data.
+  auto& cms = static_cast<CmsGc&>(vm.collector());
+  fault::disarm_all();
+  bool armed = false;
+  churn(vm, root, 0, 60000, 8000, [&] {
+    if (!armed && cms.cycle_active()) {
+      fault::Policy p;
+      p.limit = 1;
+      fault::arm(fault::Site::kPromotionFail, p);
+      armed = true;
+    }
+  });
+  fault::disarm_all();
+  ASSERT_TRUE(armed) << "no CMS background cycle started";
 
   Vm::MutatorScope s(vm, "verify");
   Obj* map = vm.global_root(root);

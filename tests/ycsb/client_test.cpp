@@ -1,5 +1,5 @@
-// YCSB client tests: workload validation, phase execution against a real
-// server, and the latency band statistics of Tables 5-7.
+// YCSB client tests: phase execution against a real server over loopback
+// TCP, and the latency band statistics of Tables 5-7.
 #include <gtest/gtest.h>
 
 #include "kvstore/sharded_store.h"
@@ -9,14 +9,6 @@
 
 namespace mgc::ycsb {
 namespace {
-
-TEST(WorkloadSpec, PaperCustomIsHalfReadHalfUpdate) {
-  const WorkloadSpec spec = WorkloadSpec::paper_custom(1000, 5000, 2);
-  EXPECT_DOUBLE_EQ(spec.read_proportion, 0.5);
-  EXPECT_DOUBLE_EQ(spec.update_proportion, 0.5);
-  EXPECT_EQ(spec.distribution, KeyDistribution::kZipfian);
-  spec.validate();
-}
 
 TEST(ClientDriver, LoadAndRunAgainstRealServer) {
   VmConfig cfg;
@@ -28,17 +20,25 @@ TEST(ClientDriver, LoadAndRunAgainstRealServer) {
   kv::StoreConfig scfg = kv::StoreConfig::default_config(cfg.heap_bytes);
   kv::ShardedStore store(vm, scfg, /*shards=*/1);
   kv::Server server(vm, store, {.workers_per_shard = 4});
+  net::NetServer netsrv(server);
 
-  WorkloadSpec spec = WorkloadSpec::paper_custom(2000, 8000, 4);
-  spec.value_len = 512;
-  Client client(server, spec, 7);
+  // Three threads do not divide 8000 ops: the remainder is spread over
+  // them, so the run issues exactly operation_count ops.
+  Client client(netsrv.port(),
+                {.record_count = 2000,
+                 .operation_count = 8000,
+                 .value_len = 512,
+                 .client_threads = 3},
+                7);
 
   const PhaseResult load = client.load();
   EXPECT_EQ(load.samples.size(), 2000u);
+  EXPECT_EQ(load.failed, 0u);
   EXPECT_GT(load.throughput_ops_s(), 0.0);
 
   const PhaseResult run = client.run();
-  EXPECT_GE(run.samples.size(), 8000u);
+  EXPECT_EQ(run.samples.size(), 8000u);
+  EXPECT_EQ(run.failed, 0u);
   std::size_t reads = 0, updates = 0;
   for (const auto& s : run.samples) {
     if (s.op == kv::OpType::kRead) ++reads;
@@ -58,6 +58,13 @@ TEST(ClientDriver, LoadAndRunAgainstRealServer) {
   EXPECT_GE(rs.max_ms, rs.avg_ms);
   ASSERT_EQ(rs.bands.size(), 5u);
   EXPECT_EQ(rs.bands[0].label, "0.5x-1.5x AVG");
+
+  netsrv.shutdown();
+  const net::NetServerStats st = netsrv.stats();
+  // Every op crossed the wire, and every request decoded was answered or
+  // counted as dropped.
+  EXPECT_EQ(st.frames_out + st.dropped_responses, st.frames_in);
+  EXPECT_GE(st.frames_in, 10000u);
 }
 
 TEST(LatencyBands, GcAttributionMatchesOverlap) {
@@ -156,18 +163,22 @@ TEST(ClientDriver, PipelinedRemoteRunAgainstShardedServer) {
   ncfg.loops = 2;
   net::NetServer netsrv(server, ncfg);
 
-  WorkloadSpec spec = WorkloadSpec::paper_custom(500, 2000, 2);
-  spec.value_len = 256;
-  spec.pipeline_depth = 8;  // windows of 8 ops per batch round trip
-  RemoteEndpoint ep;
-  ep.port = netsrv.port();
-  Client client(ep, spec, 11);
+  // Windows of 8 ops per batch round trip.
+  Client client(netsrv.port(),
+                {.record_count = 500,
+                 .operation_count = 2000,
+                 .value_len = 256,
+                 .client_threads = 2,
+                 .pipeline_depth = 8},
+                11);
 
   const PhaseResult load = client.load();
   EXPECT_EQ(load.samples.size(), 500u);
+  EXPECT_EQ(load.failed, 0u);
 
   const PhaseResult run = client.run();
-  EXPECT_GE(run.samples.size(), 2000u);
+  EXPECT_EQ(run.samples.size(), 2000u);
+  EXPECT_EQ(run.failed, 0u);
   std::size_t reads = 0, updates = 0;
   for (const auto& s : run.samples) {
     if (s.op == kv::OpType::kRead) ++reads;
